@@ -10,14 +10,17 @@
 //	mykil-bench -exp joinlat -rsabits 2048 -latency 2ms -iters 5
 //
 // Experiments: storage cpu fig8 fig9 fig10 joinlat protocost rc4 batching
-// arity prune flush model fanout journal groupcommit election all. Add
-// -csv for machine-readable output.
+// arity prune flush model fanout journal groupcommit election megasim all
+// (megasim only runs when named). An unknown name exits 2 with the list.
+// Add -csv for machine-readable output.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"mykil/internal/bench"
@@ -59,7 +62,9 @@ func run() int {
 	}
 
 	ok := true
+	known := []string{"all", "megasim"}
 	runExp := func(name string, fn func() error) {
+		known = append(known, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
@@ -251,7 +256,7 @@ func run() int {
 			return err
 		}
 		printTable(r.Table())
-		verdict(r.SegmentCheaper(), "segment replication undercuts full snapshots")
+		verdict(r.GuaranteesHold(), "replicas caught up before every kill; one winner at the primary's epoch and member set; zero rejoins")
 		return nil
 	})
 
@@ -298,6 +303,11 @@ func run() int {
 		}
 	}
 
+	if !slices.Contains(known, *exp) {
+		slices.Sort(known)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid names: %s\n", *exp, strings.Join(known, " "))
+		return 2
+	}
 	if !ok {
 		return 1
 	}

@@ -35,10 +35,19 @@ func run() error {
 	)
 	flag.Parse()
 
+	// Replicas follow their controller's journal, so the tour journals
+	// into a throwaway directory.
+	jdir, err := os.MkdirTemp("", "mykil-demo-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(jdir)
+
 	opts := []core.Option{
 		core.WithAreas(*areas),
 		core.WithRSABits(*rsaBits),
-		core.WithBackups(),
+		core.WithJournal(jdir, "never"),
+		core.WithReplicas(1),
 		core.WithPolicy(area.AdmitOnPartition),
 		core.WithTIdle(40 * time.Millisecond),
 		core.WithTActive(80 * time.Millisecond),
@@ -117,18 +126,20 @@ func run() error {
 	fmt.Println("\n== scene 5: controller failover ==")
 	// Pick a controller that still serves someone and is not the roamer's
 	// new home... the root (ac-0) always exists; crash it.
-	if err := waitUntil(10*time.Second, func() bool { return g.Backup(0).HasState() }); err != nil {
+	if err := waitUntil(10*time.Second, func() bool {
+		return g.Replica(0, 0).AppliedLSN() == g.Controller(0).JournalLSN()
+	}); err != nil {
 		return fmt.Errorf("replication: %w", err)
 	}
 	g.Net.Crash(core.ACAddr(0))
 	fmt.Println("  crashed ac-0; its backup is watching heartbeats ...")
 	if err := waitUntil(30*time.Second, func() bool {
-		_, err := g.Backup(0).Promoted()
+		_, err := g.Replica(0, 0).Promoted()
 		return err == nil
 	}); err != nil {
 		return fmt.Errorf("failover: %w", err)
 	}
-	fmt.Println("  backup promoted itself from the replicated state and announced the takeover")
+	fmt.Println("  backup promoted itself from the replicated journal and announced the takeover")
 
 	fmt.Println("\n== epilogue ==")
 	fmt.Printf("  network counters: %s\n", g.Net.Stats())

@@ -10,9 +10,9 @@
 // [-metrics-addr HOST:PORT] [-trace FILE] [-linger D]
 // [-simnet [-shards N] [-latency D]]
 //
-// With -replicas each controller gets N election-capable replicas; with
-// -split-at / -merge-at the area map resizes itself as membership grows
-// and shrinks.
+// With -replicas each controller gets N election-capable replicas that
+// follow its journal, so -replicas needs -journal-dir; with -split-at /
+// -merge-at the area map resizes itself as membership grows and shrinks.
 //
 // With -simnet the group runs over the in-process simulated network
 // (sharded delivery lanes) instead of TCP; the shutdown summary then
@@ -64,7 +64,7 @@ func run() error {
 		fsync       = flag.String("fsync", "always", "journal sync policy: always, interval, never, or group (concurrent appends share fsyncs at full durability)")
 		suite       = flag.String("suite", "", "cipher suite for key-tree and data-key sealing: legacy (default), aes-gcm, or chacha20-poly1305")
 		segBytes    = flag.Int64("segment-bytes", 0, "journal segment rotation threshold (0 = default)")
-		replicas    = flag.Int("replicas", 0, "replicas per controller running quorum leader election (0 = none)")
+		replicas    = flag.Int("replicas", 0, "replicas per controller running quorum leader election (0 = none; needs -journal-dir)")
 		splitAt     = flag.Int("split-at", 0, "split an area once its live membership exceeds this watermark (0 = never)")
 		mergeAt     = flag.Int("merge-at", 0, "merge a non-root area into its parent once membership sinks under this watermark (0 = never)")
 		useSimnet   = flag.Bool("simnet", false, "run over the in-process simulated network instead of TCP")

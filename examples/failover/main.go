@@ -1,10 +1,11 @@
 // Failover: the paper's §IV-C fault-tolerance machinery. An area
-// controller is replicated primary-backup; when the primary crashes, the
-// backup detects missed heartbeats, reconstructs the area from the
-// replicated state (auxiliary tree, member public keys, parent/child
-// identities), announces itself, and service continues. A second act
-// crashes the root controller of a three-area tree and shows the orphan
-// controllers re-parenting from their preferred lists.
+// controller is replicated primary-backup: the backup follows the
+// primary's journal. When the primary crashes, the backup detects missed
+// heartbeats, replays the replicated journal into the identical area
+// (auxiliary tree, member public keys, parent/child identities),
+// announces itself, and service continues. A second act crashes the root
+// controller of a three-area tree and shows the orphan controllers
+// re-parenting from their preferred lists.
 //
 // Run with: go run ./examples/failover
 package main
@@ -34,10 +35,18 @@ func run() error {
 // actOne: primary-backup takeover of an area controller.
 func actOne() error {
 	fmt.Println("== act one: primary-backup controller failover ==")
+	// The backup follows the primary's journal, kept here in a throwaway
+	// directory.
+	jdir, err := os.MkdirTemp("", "mykil-failover-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(jdir)
 	g, err := core.New(
 		core.WithAreas(1),
 		core.WithRSABits(1024),
-		core.WithBackups(),
+		core.WithJournal(jdir, "never"),
+		core.WithReplicas(1),
 		core.WithTIdle(40*time.Millisecond),
 		core.WithTActive(80*time.Millisecond),
 		core.WithHeartbeatEvery(40*time.Millisecond),
@@ -60,17 +69,18 @@ func actOne() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("two members joined; primary controller is syncing state to its backup")
+	fmt.Println("two members joined; the backup is pulling the primary's journal")
 
 	deadline := time.Now().Add(20 * time.Second)
-	for g.Backup(0).StateMembers() != 2 {
+	backup := g.Replica(0, 0)
+	for backup.AppliedLSN() != g.Controller(0).JournalLSN() {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("backup never absorbed the member table")
+			return fmt.Errorf("backup never caught up with the journal")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	fmt.Printf("backup holds the replicated state: %d members, tree, parent/child identities\n",
-		g.Backup(0).StateMembers())
+	fmt.Printf("backup holds the whole journal: %d records that replay into the tree, members, parent/child identities\n",
+		backup.AppliedLSN()-1)
 
 	if err := sender.Send([]byte("before the crash")); err != nil {
 		return err
@@ -80,7 +90,7 @@ func actOne() error {
 	fmt.Println("\ncrashing the primary controller ...")
 	g.Net.Crash(core.ACAddr(0))
 	for {
-		if _, err := g.Backup(0).Promoted(); err == nil {
+		if _, err := backup.Promoted(); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

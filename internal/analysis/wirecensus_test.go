@@ -7,9 +7,12 @@ import (
 	"mykil/internal/wire"
 )
 
-// kindInventory is the pinned census of wire kinds, in wire-value order.
-// Adding a kind to internal/wire means extending this list in the same
-// change — the analyzer, the runtime registry, and this test must agree.
+// kindInventory is the pinned census of wire kinds, in wire-value order:
+// entry i names wire value i+1. Adding a kind to internal/wire means
+// extending this list in the same change — the analyzer, the runtime
+// registry, and this test must agree. The empty entry is value 26, left
+// unassigned when the full-state snapshot push was retired so that no
+// later kind was renumbered.
 var kindInventory = []string{
 	"JoinRequest", "JoinChallenge", "JoinResponse", "JoinRefer",
 	"JoinGrant", "JoinToAC", "JoinWelcome", "JoinDenied",
@@ -18,15 +21,15 @@ var kindInventory = []string{
 	"Data", "KeyUpdate", "PathUpdate",
 	"ACAlive", "MemberAlive", "LeaveNotice", "PathRequest",
 	"AreaJoinReq", "AreaJoinAck", "AreaJoinDenied",
-	"ReplicaSync", "ReplicaHeartbeat", "ACFailover",
+	"", "ReplicaHeartbeat", "ACFailover",
 	"Election", "ElectionOK", "Coordinator", "SegmentPull", "SegmentPush",
 	"AreaReassign",
 }
 
 // TestWireKindCensus pins the analyzer's view of the wire package to the
 // runtime registry: every Kind constant wireexhaustive counts must have a
-// body factory, a protocol name, and a spot in the pinned inventory, with
-// dense values starting at 1.
+// body factory, a protocol name, and its pinned wire value; values run
+// from 1 with no gap but the retired slot, which must stay unknown.
 func TestWireKindCensus(t *testing.T) {
 	pkg, err := getLoader(t).Load(wireDir)
 	if err != nil {
@@ -34,17 +37,32 @@ func TestWireKindCensus(t *testing.T) {
 	}
 	census := analysis.WireKindCensus(pkg)
 
-	if len(census) != len(kindInventory) {
-		t.Fatalf("census found %d Kind constants, want %d", len(census), len(kindInventory))
+	byValue := make(map[uint64]analysis.KindConst, len(census))
+	for _, k := range census {
+		byValue[k.Value] = k
 	}
-	for i, k := range census {
-		if k.Value != uint64(i+1) {
-			t.Errorf("%s has value %d, want %d (kind values must stay dense from 1)", k.Name, k.Value, i+1)
+	live := 0
+	for i, want := range kindInventory {
+		v := uint64(i + 1)
+		k, ok := byValue[v]
+		rt := wire.Kind(v)
+		if want == "" {
+			if ok {
+				t.Errorf("retired wire value %d is assigned to %s", v, k.Name)
+			}
+			if _, ok := wire.NewBody(rt); ok {
+				t.Errorf("wire.NewBody has a factory for retired value %d", v)
+			}
+			continue
 		}
-		if k.WireName != kindInventory[i] {
-			t.Errorf("census[%d] = %s (%q), want %q", i, k.Name, k.WireName, kindInventory[i])
+		live++
+		if !ok {
+			t.Errorf("no Kind constant has value %d (want %q)", v, want)
+			continue
 		}
-		rt := wire.Kind(k.Value)
+		if k.WireName != want {
+			t.Errorf("value %d = %s (%q), want %q", v, k.Name, k.WireName, want)
+		}
 		if got := rt.String(); got != k.WireName {
 			t.Errorf("%s: runtime String() = %q, analyzer census = %q", k.Name, got, k.WireName)
 		}
@@ -52,10 +70,13 @@ func TestWireKindCensus(t *testing.T) {
 			t.Errorf("%s: wire.NewBody has no factory for value %d", k.Name, k.Value)
 		}
 	}
+	if len(census) != live {
+		t.Errorf("census found %d Kind constants, inventory pins %d", len(census), live)
+	}
 	// The registry must be exactly the census: one past the end decodes
 	// as unknown.
-	if _, ok := wire.NewBody(wire.Kind(len(census) + 1)); ok {
-		t.Errorf("wire.NewBody accepts kind %d beyond the census", len(census)+1)
+	if _, ok := wire.NewBody(wire.Kind(len(kindInventory) + 1)); ok {
+		t.Errorf("wire.NewBody accepts kind %d beyond the census", len(kindInventory)+1)
 	}
 }
 

@@ -3,8 +3,8 @@
 // between areas (Fig. 2), runs the member-side join step (Fig. 3, steps
 // 4/6/7) and the rejoin protocol (Fig. 7), batches rekey operations
 // (§III-E), detects member and parent failures (§IV-A), re-parents after
-// a parent controller failure (§IV-C), and ships its minimal replicated
-// state to a primary-backup replica (§IV-C).
+// a parent controller failure (§IV-C), and ships its journal to the
+// replicas that stand by to take the area over (§IV-C).
 package area
 
 import (
@@ -86,12 +86,8 @@ type Config struct {
 	PreferredParents []string
 	// Parent, if set, is joined (as an area member) at startup.
 	Parent *PeerInfo
-	// Backup, if set, receives state syncs and heartbeats. It is the
-	// legacy single-replica spelling of Replicas; when Replicas is empty
-	// it becomes the sole entry.
-	Backup *PeerInfo
 	// Replicas lists the replica set: every entry receives heartbeats
-	// and journal segments (or, unjournaled, full state syncs). The
+	// and pulls journal segments, so Journal is required with it. The
 	// FIRST entry is the announcer — the replica whose address and key
 	// are advertised to members in welcomes, and the one that vouches
 	// for an election winner's takeover notice.
@@ -189,8 +185,8 @@ func (cfg *Config) fillDefaults() error {
 	if cfg.HeartbeatEvery == 0 {
 		cfg.HeartbeatEvery = cfg.TIdle
 	}
-	if len(cfg.Replicas) == 0 && cfg.Backup != nil {
-		cfg.Replicas = []PeerInfo{*cfg.Backup}
+	if len(cfg.Replicas) > 0 && cfg.Journal == nil {
+		return fmt.Errorf("area: Replicas follow the journal, so Journal is required with them")
 	}
 	for _, r := range cfg.Replicas {
 		if r.ID == "" || r.Addr == "" || r.Pub.IsZero() {
@@ -296,10 +292,7 @@ type Controller struct {
 	// Data dedup: highest sequence seen per origin.
 	seenSeq map[string]uint64
 
-	// Replication.
-	stateSeq      uint64
-	lastSyncSeq   uint64
-	backupDirty   bool
+	// Replication: when the replicas last heard a heartbeat.
 	lastHeartbeat time.Time
 
 	// Dynamic topology: members vouched-for ahead of a migration rejoin
@@ -518,6 +511,16 @@ func (c *Controller) HasMember(id string) bool {
 	return ok
 }
 
+// JournalLSN reports the LSN the controller's next journal record will
+// take (0 when unjournaled). A replica whose AppliedLSN equals it holds
+// the whole log.
+func (c *Controller) JournalLSN() uint64 {
+	if c.cfg.Journal == nil {
+		return 0
+	}
+	return c.cfg.Journal.NextLSN()
+}
+
 // FlushBatch forces an immediate rekey flush of pending join/leave events.
 func (c *Controller) FlushBatch() {
 	_ = c.call(func() { c.flush() })
@@ -620,7 +623,7 @@ func (c *Controller) housekeeping() {
 	// detect parent silence.
 	c.parentHousekeeping(now)
 
-	// §IV-C: replica heartbeat and state sync.
+	// §IV-C: replica heartbeat.
 	c.replicaHousekeeping(now)
 
 	// Dynamic topology: fire split/merge watermark callbacks.

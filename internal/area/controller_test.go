@@ -591,7 +591,7 @@ func TestVerifyReqReplayRejected(t *testing.T) {
 func TestKeyUpdateSignedAndAppliesToMembers(t *testing.T) {
 	r := newRig(t, nil)
 	w1 := r.join("c1")
-	view := keytree.NewMemberView(w1.Path, w1.Epoch, keytree.SealingEncryptor{})
+	view := keytree.NewMemberView(w1.Path, w1.Epoch, keytree.NewSuiteEncryptor(nil))
 
 	// Second member joins; c1 must receive a signed rekey it can apply.
 	cli2Keys := keyPair(t)
@@ -763,7 +763,7 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
-	restored, err := NewFromState(Config{
+	restored, err := newFromState(Config{
 		ID:        "backup",
 		AreaID:    "ignored-overridden",
 		Transport: tr,
@@ -772,7 +772,7 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 		RSPub:     r.rsKeys.Public(),
 	}, got)
 	if err != nil {
-		t.Fatalf("NewFromState: %v", err)
+		t.Fatalf("newFromState: %v", err)
 	}
 	restored.Start()
 	defer restored.Close()
@@ -857,6 +857,20 @@ func TestStatsCounters(t *testing.T) {
 func TestConfigValidationController(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
+	}
+	// Replicas follow the journal; there is no second protocol for a
+	// controller that has none.
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	tr, err := transport.NewSim(n, "ac-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	kp := keyPair(t)
+	if _, err := New(Config{ID: "ac-0", AreaID: "area-0", Transport: tr, Keys: kp,
+		Replicas: []PeerInfo{{ID: "r0", Addr: "r0", Pub: kp.Public()}}}); err == nil {
+		t.Error("replicas without a journal accepted")
 	}
 }
 

@@ -146,7 +146,6 @@ func (c *Controller) applyBatch(joins []pendingAdmission, leaves []string) {
 	// "each key update message is signed using the private key of the
 	// area controller").
 	c.multicastKeyUpdate(res, joins)
-	c.markBackupDirty()
 }
 
 // multicastKeyUpdate distributes a rekey message to every member that did
@@ -205,7 +204,6 @@ func (c *Controller) freshnessRekey() {
 		obs.Int("entries", int64(res.Update.NumKeys())),
 		obs.Uint("epoch", uint64(res.Epoch)))
 	c.multicastKeyUpdate(res, nil)
-	c.markBackupDirty()
 }
 
 // handleData forwards one multicast data packet per the Iolus-style rules

@@ -126,7 +126,6 @@ func (c *Controller) handleAreaJoinReq(f *wire.Frame) {
 	}, true)
 	c.multicastKeyUpdate(res, []pendingAdmission{{entry: c.members[req.ACID]}})
 	c.sendDisplaced(res)
-	c.markBackupDirty()
 }
 
 // sendDisplaced unicasts fresh paths produced by a tree operation.
@@ -189,7 +188,6 @@ func (c *Controller) handleAreaJoinAck(f *wire.Frame) {
 	c.trace.Event(obs.ProtoReparent, ack.ParentID, "parent-set",
 		obs.String("parent_area", ack.ParentAreaID), obs.Uint("epoch", uint64(ack.Epoch)))
 	c.journalParentSet()
-	c.markBackupDirty()
 }
 
 // handleAreaJoinDenied abandons the current candidate and tries the next
@@ -288,7 +286,6 @@ func (c *Controller) parentHousekeeping(now time.Time) {
 		c.parent = nil
 		c.journalParentClear()
 		c.tryNextParent()
-		c.markBackupDirty()
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 )
 
 // The golden-state test extends wire-format pinning to the State blob:
-// the same bytes travel in ReplicaSync frames and rest in journal
-// snapshots, so a silent encoding change would make old journals
-// unreadable and mixed-version primary/backup pairs diverge. After an
+// the same bytes rest in journal snapshots and travel as the baseline
+// of segment pushes, so a silent encoding change would make old journals
+// unreadable and mixed-version primary/replica pairs diverge. After an
 // INTENTIONAL format change (bump stateFormatV1), regenerate with:
 //
 //	go test ./internal/area -run TestGoldenState -update-golden
@@ -80,7 +80,7 @@ func TestGoldenState(t *testing.T) {
 	if *updateGolden {
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "# Golden State encodings: <name> <hex(EncodeState)>.\n")
-		fmt.Fprintf(&buf, "# The same bytes travel in ReplicaSync and rest in journal snapshots.\n")
+		fmt.Fprintf(&buf, "# The same bytes rest in journal snapshots and travel as segment-push baselines.\n")
 		fmt.Fprintf(&buf, "# Regenerate ONLY on an intentional format change:\n")
 		fmt.Fprintf(&buf, "#   go test ./internal/area -run TestGoldenState -update-golden\n")
 		for _, name := range names {

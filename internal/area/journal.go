@@ -96,8 +96,8 @@ func (c *Controller) treeKeyGen() crypt.SymKey {
 	return crypt.NewSymKey()
 }
 
-// treeConfig centralizes the keytree configuration so New and the two
-// restore paths (replica state, journal) build identically-behaving trees.
+// treeConfig centralizes the keytree configuration so New and the journal
+// restore build identically-behaving trees.
 func (c *Controller) treeConfig() keytree.Config {
 	return keytree.Config{
 		Arity:     c.cfg.TreeArity,
@@ -247,7 +247,7 @@ func NewFromJournal(cfg Config, rec *journal.Recovery) (*Controller, error) {
 		if derr != nil {
 			return nil, fmt.Errorf("area: journal snapshot: %w", derr)
 		}
-		c, err = NewFromState(cfg, st)
+		c, err = newFromState(cfg, st)
 	} else {
 		c, err = New(cfg)
 	}
@@ -423,6 +423,5 @@ func (c *Controller) replayRecord(p []byte) error {
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
-	c.stateSeq++
 	return nil
 }

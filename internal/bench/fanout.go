@@ -17,7 +17,7 @@ import (
 type FanoutRow struct {
 	Workers int
 	// RekeyMs is the time to build one batched-leave key update (real
-	// AES entry encryption via keytree.SealingEncryptor) over the tree.
+	// legacy-suite entry encryption) over the tree.
 	RekeyMs      float64
 	RekeySpeedup float64
 	// DataMBs is Iolus-style boundary re-encryption throughput: open the
@@ -46,7 +46,7 @@ type FanoutResult struct {
 func rekeyOnce(n, k int, pool *node.Pool) (time.Duration, error) {
 	t := keytree.New(keytree.Config{
 		Arity:     4,
-		Encryptor: keytree.SealingEncryptor{},
+		Encryptor: keytree.NewSuiteEncryptor(nil),
 		KeyGen:    FastKeyGen(7),
 		Parallel:  pool.Map,
 	})

@@ -1,6 +1,6 @@
 // Package core assembles complete Mykil deployments: a registration
-// server, a tree of area controllers (optionally each with a primary-
-// backup replica), and any number of members, all wired over the
+// server, a tree of area controllers (optionally each with a replica set
+// following its journal), and any number of members, all wired over the
 // simulated network. It is the facade the examples, integration tests,
 // and benchmarks use; the underlying pieces live in internal/regserver,
 // internal/area, internal/member, and internal/replica.
@@ -54,14 +54,13 @@ type Config struct {
 	// join/rejoin and controllers deny joiners that cannot follow the
 	// area's suite.
 	CipherSuite string
-	// WithBackups gives every controller a §IV-C primary-backup replica.
-	// Equivalent to NumReplicas=1; kept for compatibility.
-	WithBackups bool
 	// NumReplicas gives every controller n replicas running quorum leader
-	// election over journal-segment replication (internal/replica). The
-	// first replica of each controller is the announcer whose key members
-	// learn at join; it relays the election winner's failover announcement.
-	// Zero with WithBackups set means 1.
+	// election over journal-segment replication (internal/replica); one
+	// replica is the paper's §IV-C passive backup. The first replica of
+	// each controller is the announcer whose key members learn at join; it
+	// relays the election winner's failover announcement. Replicas follow
+	// the controller's journal, so JournalDir is required with them; an
+	// election winner continues the log under <JournalDir>/<replicaID>.
 	NumReplicas int
 	// SplitAbove, when > 0, makes every controller shed the upper half of
 	// its sorted membership to a freshly spawned sibling once its live
@@ -106,7 +105,9 @@ type Config struct {
 	// JournalDir, if non-empty, makes controllers and the registration
 	// server durable: each controller journals under
 	// <JournalDir>/<acID>, the registration server under
-	// <JournalDir>/rs. On New, any state those journals hold is
+	// <JournalDir>/rs, and a replica that wins an election continues its
+	// controller's log under <JournalDir>/<replicaID>. On New, any state
+	// the controller and registration-server journals hold is
 	// recovered first, so building a group over an existing JournalDir
 	// is a restart, not a fresh deployment.
 	JournalDir string
@@ -141,7 +142,7 @@ type Group struct {
 	rsTransport transport.Transport
 	controllers []*area.Controller
 	ctrlInfo    []wire.ACInfo
-	backups     []*replica.Backup
+	replicas    []*replica.Replica
 	pool        crypt.KeySource
 	rsKeys      *crypt.KeyPair
 	kShared     crypt.SymKey
@@ -150,6 +151,7 @@ type Group struct {
 
 	// Durability (only populated when cfg.JournalDir is set).
 	acCfgs     []area.Config
+	fsync      journal.FsyncPolicy // Config.FsyncPolicy, parsed
 	acJournals []*journal.Journal
 	rsJournal  *journal.Journal
 	recovered  []string
@@ -166,15 +168,12 @@ func ACAddr(i int) string { return fmt.Sprintf("ac-%d", i) }
 // ACID returns controller i's identity.
 func ACID(i int) string { return ACAddr(i) }
 
-// BackupAddr returns controller i's first replica address.
-func BackupAddr(i int) string { return fmt.Sprintf("backup-%d", i) }
-
 // ReplicaAddr returns the address of controller i's r-th replica. Replica
 // 0 keeps the historical "backup-i" name; later replicas append their
 // index.
 func ReplicaAddr(i, r int) string {
 	if r == 0 {
-		return BackupAddr(i)
+		return fmt.Sprintf("backup-%d", i)
 	}
 	return fmt.Sprintf("backup-%d-%d", i, r)
 }
@@ -206,11 +205,8 @@ func build(cfg Config) (*Group, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.NumReplicas == 0 && cfg.WithBackups {
-		cfg.NumReplicas = 1
-	}
-	if cfg.NumReplicas > 0 {
-		cfg.WithBackups = true
+	if cfg.NumReplicas > 0 && cfg.JournalDir == "" {
+		return nil, fmt.Errorf("core: replicas follow their controller's journal: WithReplicas needs WithJournal")
 	}
 
 	g := &Group{
@@ -297,7 +293,7 @@ func build(cfg Config) (*Group, error) {
 	}
 
 	// Journal sync discipline and cipher suite, validated once up front.
-	if _, err := journal.ParseFsyncPolicy(cfg.FsyncPolicy); err != nil {
+	if g.fsync, err = journal.ParseFsyncPolicy(cfg.FsyncPolicy); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if _, err := crypt.SuiteByName(cfg.CipherSuite); err != nil {
@@ -305,30 +301,13 @@ func build(cfg Config) (*Group, error) {
 	}
 
 	// Controllers, root first so parents exist before children join.
+	// bootRecs keeps what each journal held at boot, to seed the replicas.
+	bootRecs := make([]*journal.Recovery, cfg.NumAreas)
 	for i := 0; i < cfg.NumAreas; i++ {
-		acCfg := area.Config{
-			ID:               ACID(i),
-			AreaID:           fmt.Sprintf("area-%d", i),
-			Transport:        acTrs[i],
-			Keys:             ctrlKeys[i],
-			Clock:            cfg.Clock,
-			KShared:          g.kShared,
-			RSPub:            g.rsKeys.Public(),
-			Directory:        g.ctrlInfo,
-			Batching:         cfg.Batching,
-			TreeArity:        cfg.TreeArity,
-			Suite:            cfg.CipherSuite,
-			Policy:           cfg.Policy,
-			SkipRejoinVerify: cfg.SkipRejoinVerify,
-			DataWorkers:      cfg.DataWorkers,
-			TIdle:            cfg.TIdle,
-			TActive:          cfg.TActive,
-			RekeyInterval:    cfg.RekeyInterval,
-			VerifyTimeout:    cfg.VerifyTimeout,
-			HeartbeatEvery:   cfg.HeartbeatEvery,
-			Observer:         cfg.Observer,
-			Logf:             cfg.Logf,
-		}
+		acCfg := g.controllerConfig(i, g.ctrlInfo)
+		acCfg.ID = ACID(i)
+		acCfg.Transport = acTrs[i]
+		acCfg.Keys = ctrlKeys[i]
 		if i > 0 {
 			parentIdx := (i - 1) / cfg.AreaFanout
 			acCfg.Parent = &area.PeerInfo{
@@ -373,6 +352,7 @@ func build(cfg Config) (*Group, error) {
 			}
 			acCfg.Journal = j
 			g.acJournals = append(g.acJournals, j)
+			bootRecs[i] = rec
 			ctrl, err = area.NewFromJournal(acCfg, rec)
 		} else {
 			ctrl, err = area.New(acCfg)
@@ -386,8 +366,8 @@ func build(cfg Config) (*Group, error) {
 
 	// Replicas watch their primaries and, with more than one per area,
 	// each other: on primary silence they hold a quorum leader election
-	// and the winner rebuilds the controller from replicated journal
-	// segments (or the last full-state sync).
+	// and the winner rebuilds the controller from the journal segments it
+	// replicated.
 	for i := 0; i < cfg.NumAreas; i++ {
 		if cfg.NumReplicas == 0 {
 			break
@@ -398,13 +378,6 @@ func build(cfg Config) (*Group, error) {
 		}
 		if hb == 0 {
 			hb = area.DefaultTIdle
-		}
-		// With journaling on, seed each replica with the primary's boot
-		// state: if the primary dies before a single hot sync, the
-		// election winner can still cold-restore from what disk held.
-		var cold *area.State
-		if cfg.JournalDir != "" {
-			cold = g.controllers[i].BootState()
 		}
 		peers := make([]replica.Peer, cfg.NumReplicas)
 		for r := range peers {
@@ -426,6 +399,10 @@ func build(cfg Config) (*Group, error) {
 					ID: peers[o].ID, Addr: peers[o].Addr, Pub: peers[o].Pub,
 				})
 			}
+			// A promoted winner serves the primary's area and keeps
+			// replicating to the surviving replicas.
+			promoted := g.controllerConfig(i, g.ctrlInfo)
+			promoted.Replicas = survivors
 			b, err := replica.New(replica.Config{
 				ID:         ReplicaAddr(i, r),
 				Transport:  repTrs[i][r],
@@ -439,33 +416,18 @@ func build(cfg Config) (*Group, error) {
 				HeartbeatEvery: hb,
 				Peers:          others,
 				Announcer:      r == 0,
-				ColdState:      cold,
-				ControllerConfig: area.Config{
-					AreaID:  fmt.Sprintf("area-%d", i),
-					KShared: g.kShared,
-					RSPub:   g.rsKeys.Public(),
-					// A promoted winner keeps replicating to the
-					// surviving replicas of its area.
-					Replicas:         survivors,
-					Directory:        g.ctrlInfo,
-					Batching:         cfg.Batching,
-					TreeArity:        cfg.TreeArity,
-					Suite:            cfg.CipherSuite,
-					Policy:           cfg.Policy,
-					SkipRejoinVerify: cfg.SkipRejoinVerify,
-					DataWorkers:      cfg.DataWorkers,
-					TIdle:            cfg.TIdle,
-					TActive:          cfg.TActive,
-					RekeyInterval:    cfg.RekeyInterval,
-					VerifyTimeout:    cfg.VerifyTimeout,
-				},
-				Observer: cfg.Observer,
-				Logf:     cfg.Logf,
+				Journal:        g.journalOptions(ReplicaAddr(i, r)),
+				// If the primary dies before answering a single pull, the
+				// election winner still restores what its disk held at boot.
+				Seed:             bootRecs[i],
+				ControllerConfig: promoted,
+				Observer:         cfg.Observer,
+				Logf:             cfg.Logf,
 			})
 			if err != nil {
 				return nil, err
 			}
-			g.backups = append(g.backups, b)
+			g.replicas = append(g.replicas, b)
 		}
 	}
 	rsCfg := regserver.Config{
@@ -496,27 +458,55 @@ func build(cfg Config) (*Group, error) {
 	for _, c := range g.controllers {
 		c.Start()
 	}
-	for _, b := range g.backups {
+	for _, b := range g.replicas {
 		b.Start()
 	}
 	rs.Start()
 	return g, nil
 }
 
-// openJournal opens (or recovers) the journal for one named component
-// under Config.JournalDir, recording anything it restored.
-func (g *Group) openJournal(name string) (*journal.Journal, *journal.Recovery, error) {
-	fsync, err := journal.ParseFsyncPolicy(g.cfg.FsyncPolicy)
-	if err != nil {
-		return nil, nil, err
+// controllerConfig is the configuration every controller of area i starts
+// from — the one built at New, a split sibling, a controller an election
+// winner promotes — before its identity and topology links are filled in.
+func (g *Group) controllerConfig(i int, directory []wire.ACInfo) area.Config {
+	return area.Config{
+		AreaID:           fmt.Sprintf("area-%d", i),
+		Clock:            g.cfg.Clock,
+		KShared:          g.kShared,
+		RSPub:            g.rsKeys.Public(),
+		Directory:        directory,
+		Batching:         g.cfg.Batching,
+		TreeArity:        g.cfg.TreeArity,
+		Suite:            g.cfg.CipherSuite,
+		Policy:           g.cfg.Policy,
+		SkipRejoinVerify: g.cfg.SkipRejoinVerify,
+		DataWorkers:      g.cfg.DataWorkers,
+		TIdle:            g.cfg.TIdle,
+		TActive:          g.cfg.TActive,
+		RekeyInterval:    g.cfg.RekeyInterval,
+		VerifyTimeout:    g.cfg.VerifyTimeout,
+		HeartbeatEvery:   g.cfg.HeartbeatEvery,
+		Observer:         g.cfg.Observer,
+		Logf:             g.cfg.Logf,
 	}
-	j, rec, err := journal.Open(journal.Options{
+}
+
+// journalOptions locates and parameterizes one named component's journal
+// under Config.JournalDir.
+func (g *Group) journalOptions(name string) journal.Options {
+	return journal.Options{
 		Dir:          filepath.Join(g.cfg.JournalDir, name),
-		Fsync:        fsync,
+		Fsync:        g.fsync,
 		SegmentBytes: g.cfg.SegmentBytes,
 		Logf:         g.cfg.Logf,
 		Clock:        g.cfg.Clock,
-	})
+	}
+}
+
+// openJournal opens (or recovers) the journal for one named component,
+// recording anything it restored.
+func (g *Group) openJournal(name string) (*journal.Journal, *journal.Recovery, error) {
+	j, rec, err := journal.Open(g.journalOptions(name))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: opening journal for %s: %w", name, err)
 	}
@@ -590,10 +580,6 @@ func (g *Group) RecoverySummary() []string {
 // NumAreas returns the configured number of areas.
 func (g *Group) NumAreas() int { return len(g.controllers) }
 
-// Backup returns controller i's first replica (nil when replication is
-// disabled).
-func (g *Group) Backup(i int) *replica.Backup { return g.Replica(i, 0) }
-
 // Replica returns controller i's r-th replica, or nil when out of range.
 // Only the controllers present at New have replicas; siblings spawned by
 // an area split run unreplicated until restarted into a replicated
@@ -603,7 +589,7 @@ func (g *Group) Replica(i, r int) *replica.Replica {
 	if n == 0 || i < 0 || r < 0 || r >= n || i >= g.cfg.NumAreas {
 		return nil
 	}
-	return g.backups[i*n+r]
+	return g.replicas[i*n+r]
 }
 
 // ReplicasPerArea reports the configured replica count per controller.
@@ -662,38 +648,19 @@ func (g *Group) splitFrom(i int, migrate []string) (string, int, error) {
 	keys := g.pool.Next()
 	info := wire.ACInfo{ID: newID, Addr: tr.Addr(), PubDER: keys.Public().Marshal()}
 
-	acCfg := area.Config{
-		ID:        newID,
-		AreaID:    fmt.Sprintf("area-%d", newIdx),
-		Transport: tr,
-		Keys:      keys,
-		Clock:     g.cfg.Clock,
-		KShared:   g.kShared,
-		RSPub:     g.rsKeys.Public(),
-		// The sibling hangs under the source controller, so its area's
-		// data still routes through the tree it split from.
-		Parent: &area.PeerInfo{
-			ID:   srcCfg.ID,
-			Addr: srcCfg.Transport.Addr(),
-			Pub:  srcCfg.Keys.Public(),
-		},
-		Directory:        append(g.Directory(), info),
-		Batching:         g.cfg.Batching,
-		TreeArity:        g.cfg.TreeArity,
-		Suite:            g.cfg.CipherSuite,
-		Policy:           g.cfg.Policy,
-		SkipRejoinVerify: g.cfg.SkipRejoinVerify,
-		DataWorkers:      g.cfg.DataWorkers,
-		TIdle:            g.cfg.TIdle,
-		TActive:          g.cfg.TActive,
-		RekeyInterval:    g.cfg.RekeyInterval,
-		VerifyTimeout:    g.cfg.VerifyTimeout,
-		HeartbeatEvery:   g.cfg.HeartbeatEvery,
-		SplitAbove:       g.cfg.SplitAbove,
-		MergeBelow:       g.cfg.MergeBelow,
-		Observer:         g.cfg.Observer,
-		Logf:             g.cfg.Logf,
+	acCfg := g.controllerConfig(newIdx, append(g.Directory(), info))
+	acCfg.ID = newID
+	acCfg.Transport = tr
+	acCfg.Keys = keys
+	// The sibling hangs under the source controller, so its area's data
+	// still routes through the tree it split from.
+	acCfg.Parent = &area.PeerInfo{
+		ID:   srcCfg.ID,
+		Addr: srcCfg.Transport.Addr(),
+		Pub:  srcCfg.Keys.Public(),
 	}
+	acCfg.SplitAbove = g.cfg.SplitAbove
+	acCfg.MergeBelow = g.cfg.MergeBelow
 	if g.cfg.SplitAbove > 0 {
 		acCfg.OnSplit = func(ids []string) { g.autoSplit(newIdx, ids) }
 	}
@@ -1052,7 +1019,9 @@ func (g *Group) Close() {
 		m.Close()
 	}
 	g.RS.Close()
-	for _, b := range g.backups {
+	// A replica that won an election closes the controller it promoted
+	// and that controller's journal with it.
+	for _, b := range g.replicas {
 		b.Close()
 	}
 	for _, c := range g.controllers {

@@ -548,7 +548,7 @@ func TestAutoRejoinAfterPartition(t *testing.T) {
 }
 
 func TestControllerFailover(t *testing.T) {
-	g, err := New(append(fastTiming(1), WithBackups())...)
+	g, err := New(append(fastTiming(1), WithReplicas(1), WithJournal(t.TempDir(), "never"))...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -563,15 +563,16 @@ func TestControllerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddMember: %v", err)
 	}
-	waitFor(t, "replica to absorb both members", 5*time.Second, func() bool {
-		return g.Backup(0).StateMembers() == 2
+	backup := g.Replica(0, 0)
+	waitFor(t, "replica to absorb both joins", 5*time.Second, func() bool {
+		return backup.AppliedLSN() == g.Controller(0).JournalLSN()
 	})
 
 	// Crash the primary; the backup must take over and members must
 	// keep exchanging data through it.
 	g.Net.Crash(ACAddr(0))
 	waitFor(t, "backup promotion", 10*time.Second, func() bool {
-		_, err := g.Backup(0).Promoted()
+		_, err := backup.Promoted()
 		return err == nil
 	})
 	waitFor(t, "members to switch to the backup", 10*time.Second, func() bool {
@@ -583,6 +584,16 @@ func TestControllerFailover(t *testing.T) {
 		}
 		return recvB.has("ma:via backup")
 	})
+}
+
+// TestReplicasNeedJournal: replicas follow their controller's journal;
+// there is no second protocol to fall back to without one.
+func TestReplicasNeedJournal(t *testing.T) {
+	g, err := New(append(fastTiming(1), WithReplicas(1))...)
+	if err == nil {
+		g.Close()
+		t.Fatal("New accepted replicas without a journal")
+	}
 }
 
 func TestReparentAfterParentFailure(t *testing.T) {

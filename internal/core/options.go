@@ -17,7 +17,7 @@ type Option func(*Config)
 
 // New builds and starts a deployment from functional options:
 //
-//	g, err := core.New(core.WithAreas(8), core.WithBackups(), core.WithObserver(sink))
+//	g, err := core.New(core.WithAreas(8), core.WithBatching(), core.WithObserver(sink))
 //
 // With no options it builds the single-area default deployment.
 func New(opts ...Option) (*Group, error) {
@@ -58,15 +58,12 @@ func WithTreeArity(n int) Option { return func(c *Config) { c.TreeArity = n } }
 // "aes-gcm", or "chacha20-poly1305".
 func WithCipherSuite(name string) Option { return func(c *Config) { c.CipherSuite = name } }
 
-// WithBackups gives every controller a §IV-C primary-backup replica.
-// Equivalent to WithReplicas(1).
-func WithBackups() Option { return func(c *Config) { c.WithBackups = true } }
-
 // WithReplicas gives every controller n replicas running quorum leader
 // election over journal-segment replication: on primary failure the
 // replicas elect the best-caught-up candidate, which rebuilds the
 // controller from replicated journal segments and announces the failover
-// through the first replica (whose key members learned at join).
+// through the first replica (whose key members learned at join). One
+// replica is the paper's §IV-C passive backup. Needs WithJournal.
 func WithReplicas(n int) Option { return func(c *Config) { c.NumReplicas = n } }
 
 // WithAreaWatermarks turns on dynamic area split and merge: a controller

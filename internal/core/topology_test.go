@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,19 @@ func promotedReplicas(g *Group, i int) []*area.Controller {
 		}
 	}
 	return out
+}
+
+// replicasCaughtUp reports whether every replica of area i that has not
+// itself promoted holds the whole journal of the controller serving it.
+func replicasCaughtUp(g *Group, i int, serving *area.Controller) bool {
+	want := serving.JournalLSN()
+	for r := 0; r < g.ReplicasPerArea(); r++ {
+		rep := g.Replica(i, r)
+		if _, err := rep.Promoted(); err != nil && rep.AppliedLSN() != want {
+			return false
+		}
+	}
+	return true
 }
 
 // TestQuorumElectionAfterLeaderKill: three replicas follow a journaled
@@ -50,19 +64,10 @@ func TestQuorumElectionAfterLeaderKill(t *testing.T) {
 		t.Fatalf("AddMember: %v", err)
 	}
 
-	// Every replica must hold the full journal prefix before the kill,
-	// or the test races the segment pulls.
+	// Every replica must hold the whole journal before the kill, or the
+	// test races the segment pulls.
 	waitFor(t, "replicas to absorb the journal", 10*time.Second, func() bool {
-		lsn := g.Replica(0, 0).AppliedLSN()
-		if lsn == 0 {
-			return false
-		}
-		for r := 1; r < 3; r++ {
-			if g.Replica(0, r).AppliedLSN() != lsn {
-				return false
-			}
-		}
-		return true
+		return replicasCaughtUp(g, 0, g.Controller(0))
 	})
 
 	g.Net.Crash(ACAddr(0))
@@ -100,6 +105,132 @@ func TestQuorumElectionAfterLeaderKill(t *testing.T) {
 	}
 	if elections != 1 {
 		t.Errorf("replica set counted %d elections won, want 1", elections)
+	}
+}
+
+// TestSecondFailoverKeepsEpoch: an election winner continues the log it
+// replicated, so what it does after taking over — here a member's leave —
+// reaches the surviving replicas, and a second failover restores the
+// first winner's area, not the long-dead primary's. DESIGN §8 obligation
+// 7: no failover sequence lowers an area's epoch or restores a departed
+// member. (Before the winner journaled, the second winner came back at
+// the original primary's epoch with the leaver re-admitted and its
+// retained keys valid again.)
+//
+// Nothing refreshes the registration server's directory after a
+// failover, so a fresh join cannot reach a promoted controller yet; the
+// leave alone is the post-failover membership change.
+func TestSecondFailoverKeepsEpoch(t *testing.T) {
+	g, err := New(append(journalTiming(t.TempDir()), WithReplicas(3))...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer g.Close()
+
+	var recvB, recvC collector
+	ma, err := g.AddMember("ma", MemberConfig{})
+	if err != nil {
+		t.Fatalf("AddMember: %v", err)
+	}
+	mb, err := g.AddMember("mb", MemberConfig{OnData: recvB.onData})
+	if err != nil {
+		t.Fatalf("AddMember: %v", err)
+	}
+	mc, err := g.AddMember("mc", MemberConfig{OnData: recvC.onData})
+	if err != nil {
+		t.Fatalf("AddMember: %v", err)
+	}
+	primary := g.Controller(0)
+	waitFor(t, "replicas to absorb the journal", 10*time.Second, func() bool {
+		return replicasCaughtUp(g, 0, primary)
+	})
+
+	// First failover. The crash only cuts the primary off the network,
+	// so read where it stood before it starts evicting silent members.
+	deadEpoch, deadLSN := primary.Epoch(), primary.JournalLSN()
+	g.Net.Crash(ACAddr(0))
+	waitFor(t, "first promotion", 10*time.Second, func() bool {
+		return len(promotedReplicas(g, 0)) >= 1
+	})
+	first := promotedReplicas(g, 0)[0]
+	firstIdx := -1
+	for r := 0; r < 3; r++ {
+		if ctrl, err := g.Replica(0, r).Promoted(); err == nil && ctrl == first {
+			firstIdx = r
+		}
+	}
+	waitFor(t, "members to follow the first failover", 10*time.Second, func() bool {
+		for _, m := range []*member.Member{ma, mb, mc} {
+			if m.ControllerID() == ACID(0) || !m.Connected() {
+				return false
+			}
+		}
+		return true
+	})
+
+	// The membership changes at the winner: mb leaves, the area rekeys.
+	if err := mb.Leave(); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	waitFor(t, "the winner to process the leave", 5*time.Second, func() bool {
+		return first.NumMembers() == 2 && ma.Epoch() == first.Epoch() && mc.Epoch() == first.Epoch()
+	})
+	epoch, members := first.Epoch(), first.MemberIDs()
+	if epoch <= deadEpoch {
+		t.Fatalf("leave at the winner left epoch %d, dead primary stopped at %d", epoch, deadEpoch)
+	}
+	// The survivors follow the winner's journal past the dead primary's
+	// last record.
+	waitFor(t, "survivors to absorb the winner's journal", 10*time.Second, func() bool {
+		return replicasCaughtUp(g, 0, first)
+	})
+	if got := first.JournalLSN(); got <= deadLSN {
+		t.Fatalf("winner's journal at LSN %d did not continue past the dead primary's %d", got, deadLSN)
+	}
+
+	// Second failover.
+	g.Net.Crash(ReplicaAddr(0, firstIdx))
+	waitFor(t, "second promotion", 10*time.Second, func() bool {
+		return len(promotedReplicas(g, 0)) >= 2
+	})
+	time.Sleep(300 * time.Millisecond)
+	winners := promotedReplicas(g, 0)
+	if len(winners) != 2 {
+		t.Fatalf("%d replicas promoted over two failovers, want exactly 2", len(winners))
+	}
+	second := winners[0]
+	if second == first {
+		second = winners[1]
+	}
+	if got := second.Epoch(); got != epoch {
+		t.Errorf("second winner serves epoch %d, first winner died at %d", got, epoch)
+	}
+	if got := second.MemberIDs(); !reflect.DeepEqual(got, members) {
+		t.Errorf("second winner serves members %v, first winner had %v", got, members)
+	}
+	if second.HasMember("mb") {
+		t.Error("second winner re-admitted the member that left at the first winner")
+	}
+
+	// Members verify takeover notices against the first replica's key
+	// (the one their welcomes advertised), so they can only follow the
+	// second failover when that replica is alive to vouch for it.
+	if firstIdx == 0 {
+		t.Log("the announcer replica won the first election; skipping the data check")
+		return
+	}
+	waitFor(t, "data to flow through the second winner", 10*time.Second, func() bool {
+		if err := ma.Send([]byte("post-second-failover")); err != nil {
+			return false
+		}
+		return recvC.has("ma:post-second-failover")
+	})
+	time.Sleep(50 * time.Millisecond)
+	if n := recvB.count(); n != 0 {
+		t.Errorf("departed member opened %d messages sent after the second failover (forward secrecy)", n)
+	}
+	if got := second.Stats().Value(area.StatRejoins); got != 0 {
+		t.Errorf("second winner counted %d rejoins, want 0", got)
 	}
 }
 

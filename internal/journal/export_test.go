@@ -85,3 +85,89 @@ func TestExportFrom(t *testing.T) {
 		t.Fatalf("baseline export tail wrong: %+v", ex)
 	}
 }
+
+// TestInstallContinuesLog covers the write-in counterpart of ExportFrom:
+// a replicated (baseline, tail) installed into another directory must be
+// recovered by Open byte-for-byte, continue the source's LSN numbering,
+// serve exports to lagging readers from either side of the baseline, and
+// replace whatever the directory held before.
+func TestInstallContinuesLog(t *testing.T) {
+	for _, fsync := range []FsyncPolicy{FsyncAlways, FsyncNever, FsyncGroup} {
+		t.Run(fsync.String(), func(t *testing.T) {
+			opts := Options{Dir: t.TempDir(), Fsync: fsync}
+			// A stale log from an earlier incarnation must not survive.
+			stale, _, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := stale.Append([]byte("stale")); err != nil {
+				t.Fatal(err)
+			}
+			if err := stale.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			in := &Recovery{
+				Snapshot:    []byte("state@7"),
+				SnapshotLSN: 7,
+				Records:     [][]byte{[]byte("record-08"), []byte("record-09")},
+			}
+			if err := Install(opts, in); err != nil {
+				t.Fatalf("Install: %v", err)
+			}
+			j, rec, err := Open(opts)
+			if err != nil {
+				t.Fatalf("Open after Install: %v", err)
+			}
+			defer j.Close()
+			if !bytes.Equal(rec.Snapshot, in.Snapshot) || rec.SnapshotLSN != 7 || rec.TruncatedBytes != 0 {
+				t.Fatalf("recovered baseline @%d %q", rec.SnapshotLSN, rec.Snapshot)
+			}
+			if len(rec.Records) != 2 || !bytes.Equal(rec.Records[0], in.Records[0]) || !bytes.Equal(rec.Records[1], in.Records[1]) {
+				t.Fatalf("recovered tail %q", rec.Records)
+			}
+			if got := j.NextLSN(); got != 10 {
+				t.Fatalf("NextLSN = %d, want 10", got)
+			}
+			if lsn, err := j.Append([]byte("record-10")); err != nil || lsn != 10 {
+				t.Fatalf("Append = %d, %v; want LSN 10", lsn, err)
+			}
+
+			// A reader already at LSN 9 gets the tail only; one behind the
+			// baseline gets the baseline and everything after it.
+			ex, err := j.ExportFrom(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Snapshot != nil || ex.FromLSN != 9 || ex.NextLSN != 11 || len(ex.Records) != 2 {
+				t.Fatalf("tail export wrong: %+v", ex)
+			}
+			ex, err = j.ExportFrom(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.SnapshotLSN != 7 || !bytes.Equal(ex.Snapshot, in.Snapshot) || ex.FromLSN != 8 || len(ex.Records) != 3 {
+				t.Fatalf("baseline export wrong: %+v", ex)
+			}
+		})
+	}
+
+	t.Run("empty", func(t *testing.T) {
+		opts := Options{Dir: t.TempDir()}
+		if err := Install(opts, &Recovery{}); err != nil {
+			t.Fatalf("Install: %v", err)
+		}
+		j, rec, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if !rec.Empty() || j.NextLSN() != 1 {
+			t.Fatalf("empty install recovered %+v at LSN %d", rec, j.NextLSN())
+		}
+	})
+
+	if err := Install(Options{Dir: t.TempDir()}, &Recovery{SnapshotLSN: 4}); err == nil {
+		t.Error("baseline LSN without a snapshot accepted")
+	}
+}

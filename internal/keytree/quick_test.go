@@ -83,7 +83,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 				views[m].Rebase(pk, res.Epoch)
 			}
 			for m, pk := range res.Joined {
-				views[m] = NewMemberView(pk, res.Epoch, SealingEncryptor{})
+				views[m] = NewMemberView(pk, res.Epoch, NewSuiteEncryptor(nil))
 			}
 			population = append(population, joins...)
 

@@ -45,7 +45,7 @@ func leaveWorkload(tb testing.TB, enc Encryptor, reuse bool, treeSize, batchSize
 // BenchmarkRekeyConstruction measures batch-rekey message construction
 // — the §III-E ciphertext fill an area controller performs per leave
 // batch — for every cipher suite, with and without the pooled
-// (ReuseUpdates + AppendEncryptor arena) path. Reports ns/member and
+// (ReuseUpdates arena) path. Reports ns/member and
 // allocs/member where "member" is one departed member whose leave the
 // batch processes; the pooled path must report 0 allocs/member (CI
 // gates on it).

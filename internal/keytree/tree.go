@@ -43,7 +43,8 @@ var (
 type Config struct {
 	// Arity is the maximum children per node; 0 means DefaultArity.
 	Arity int
-	// Encryptor wraps rekey entries; nil means SealingEncryptor.
+	// Encryptor wraps rekey entries; nil means NewSuiteEncryptor(nil),
+	// real encryption under the legacy suite.
 	Encryptor Encryptor
 	// KeyGen supplies fresh keys; nil means crypt.NewSymKey. Large-scale
 	// accounting experiments may inject a cheaper PRNG.
@@ -60,11 +61,12 @@ type Config struct {
 	Parallel func(n int, task func(i int))
 	// ReuseUpdates, if set, makes BatchResult.Update (its Entries slice
 	// AND every entry's Ciphertext) alias tree-owned scratch that is
-	// overwritten by the NEXT tree operation. Combined with an Encryptor
-	// implementing AppendEncryptor, steady-state rekey construction then
-	// performs zero heap allocations. Callers must fully consume (encode
-	// or copy) each update before issuing another operation; the area
-	// controller qualifies because it encodes rekey frames synchronously.
+	// overwritten by the NEXT tree operation. Steady-state rekey
+	// construction then performs zero heap allocations; without it every
+	// update owns a freshly allocated arena. Callers must fully consume
+	// (encode or copy) each update before issuing another operation; the
+	// area controller qualifies because it encodes rekey frames
+	// synchronously.
 	ReuseUpdates bool
 }
 
@@ -156,7 +158,7 @@ func New(cfg Config) *Tree {
 		cfg.Arity = 2
 	}
 	if cfg.Encryptor == nil {
-		cfg.Encryptor = SealingEncryptor{}
+		cfg.Encryptor = NewSuiteEncryptor(nil)
 	}
 	if cfg.KeyGen == nil {
 		cfg.KeyGen = crypt.NewSymKey
@@ -443,7 +445,7 @@ func (t *Tree) RefreshAreaKey() *BatchResult {
 		update.Entries = append(update.Entries, Entry{
 			Node:       t.root.id,
 			Under:      t.root.id,
-			Ciphertext: t.cfg.Encryptor.EncryptKey(oldKey, t.root.key),
+			Ciphertext: t.cfg.Encryptor.EncryptKeyTo(nil, oldKey, t.root.key),
 		})
 	}
 	return &BatchResult{
@@ -758,36 +760,31 @@ func (t *Tree) buildUpdate(changed map[NodeID]*node, fresh map[NodeID]bool,
 		t.pairsScratch = pairs
 	}
 
-	// Ciphertext placement: with an appending encryptor and scratch
-	// reuse, all entries share one arena, each assigned a disjoint
-	// zero-length sub-slice up front so parallel fills stay race-free.
-	// Otherwise every entry's ciphertext is its own fresh allocation.
-	ae, appending := t.cfg.Encryptor.(AppendEncryptor)
-	if appending && reuse {
-		ctLen := ae.KeyCiphertextLen()
-		if need := len(pairs) * ctLen; cap(t.ctArena) < need {
+	// Ciphertext placement: all entries share one arena — the tree's
+	// scratch under ReuseUpdates, a fresh one otherwise — each assigned a
+	// disjoint zero-length sub-slice up front so parallel fills stay
+	// race-free.
+	enc := t.cfg.Encryptor
+	ctLen := enc.KeyCiphertextLen()
+	need := len(pairs) * ctLen
+	var arena []byte
+	if !reuse {
+		arena = make([]byte, need)
+	} else {
+		if cap(t.ctArena) < need {
 			t.ctArena = make([]byte, 0, need)
 		}
-		arena := t.ctArena[:cap(t.ctArena)]
-		if t.cfg.Parallel != nil && len(pairs) >= parallelUpdateMin {
-			t.cfg.Parallel(len(pairs), func(i int) {
-				u.Entries[i].Ciphertext = ae.EncryptKeyTo(arena[i*ctLen:i*ctLen:(i+1)*ctLen], pairs[i].under, pairs[i].key)
-			})
-		} else {
-			for i := range pairs {
-				u.Entries[i].Ciphertext = ae.EncryptKeyTo(arena[i*ctLen:i*ctLen:(i+1)*ctLen], pairs[i].under, pairs[i].key)
-			}
-		}
-		return u
+		arena = t.ctArena[:cap(t.ctArena)]
 	}
-	encrypt := func(i int) {
-		u.Entries[i].Ciphertext = t.cfg.Encryptor.EncryptKey(pairs[i].under, pairs[i].key)
-	}
+	// The closure exists only on the parallel branch: hoisting it would
+	// heap-allocate it on the serial path too.
 	if t.cfg.Parallel != nil && len(pairs) >= parallelUpdateMin {
-		t.cfg.Parallel(len(pairs), encrypt)
+		t.cfg.Parallel(len(pairs), func(i int) {
+			u.Entries[i].Ciphertext = enc.EncryptKeyTo(arena[i*ctLen:i*ctLen:(i+1)*ctLen], pairs[i].under, pairs[i].key)
+		})
 	} else {
 		for i := range pairs {
-			encrypt(i)
+			u.Entries[i].Ciphertext = enc.EncryptKeyTo(arena[i*ctLen:i*ctLen:(i+1)*ctLen], pairs[i].under, pairs[i].key)
 		}
 	}
 	return u

@@ -48,7 +48,7 @@ func BenchmarkJoinAccounting(b *testing.B) {
 
 func BenchmarkLeaveJoinCycleSealed(b *testing.B) {
 	// Real AES-wrapped rekeying: the controller's hot path.
-	t := benchTree(b, 5000, DefaultArity, SealingEncryptor{})
+	t := benchTree(b, 5000, DefaultArity, NewSuiteEncryptor(nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := MemberID(fmt.Sprintf("m%d", i%5000))
@@ -88,7 +88,7 @@ func BenchmarkMemberViewApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	view := NewMemberView(res.Joined["m7"], res.Epoch, SealingEncryptor{})
+	view := NewMemberView(res.Joined["m7"], res.Epoch, NewSuiteEncryptor(nil))
 	// Pre-generate b.N leave updates is too costly; apply one update
 	// repeatedly against rewound copies instead.
 	leaveRes, err := t.Leave("m900")

@@ -593,7 +593,7 @@ func TestAccountingEncryptorEntrySize(t *testing.T) {
 	}
 }
 
-func TestSealingEncryptorOverhead(t *testing.T) {
+func TestRealEncryptionOverhead(t *testing.T) {
 	tr := New(Config{Arity: 2})
 	joinN(t, tr, 8)
 	res, err := tr.Leave(mid(2))

@@ -195,104 +195,47 @@ func (v *MemberView) Apply(u *KeyUpdate) (updated int, err error) {
 }
 
 // Encryptor abstracts the key-wrapping cipher so experiments can swap real
-// AES-CTR+HMAC for a zero-overhead accounting cipher that reproduces the
-// paper's "16 bytes per key" bandwidth arithmetic.
+// authenticated encryption for a zero-overhead accounting cipher that
+// reproduces the paper's "16 bytes per key" bandwidth arithmetic.
+// Ciphertexts are fixed-size and appended into caller-owned buffers, so a
+// tree builds a whole rekey update into one arena (see
+// Config.ReuseUpdates). Implementations must be safe for concurrent use.
 type Encryptor interface {
-	// EncryptKey wraps payload under the key `under`.
-	EncryptKey(under, payload crypt.SymKey) []byte
-	// DecryptKey unwraps a ciphertext produced by EncryptKey.
-	DecryptKey(under crypt.SymKey, ciphertext []byte) (crypt.SymKey, error)
-}
-
-// AppendEncryptor is the zero-alloc extension of Encryptor: fixed-size
-// ciphertexts appended into caller-owned buffers. Trees whose Encryptor
-// implements it build batch-rekey updates into one reusable arena
-// instead of one heap object per entry (see Config.ReuseUpdates).
-type AppendEncryptor interface {
-	Encryptor
-	// EncryptKeyTo appends EncryptKey's output to dst and returns the
-	// extended slice. Exactly KeyCiphertextLen bytes are appended; no
-	// allocation occurs when dst has capacity.
+	// EncryptKeyTo wraps payload under the key `under`, appends the
+	// ciphertext to dst, and returns the extended slice. Exactly
+	// KeyCiphertextLen bytes are appended; no allocation occurs when dst
+	// has capacity.
 	EncryptKeyTo(dst []byte, under, payload crypt.SymKey) []byte
 	// KeyCiphertextLen is the fixed length of one wrapped key.
 	KeyCiphertextLen() int
+	// DecryptKey unwraps a ciphertext produced by EncryptKeyTo.
+	DecryptKey(under crypt.SymKey, ciphertext []byte) (crypt.SymKey, error)
 }
 
-// keyBufPool holds key-sized scratch for the append paths: a stack
-// array passed across the crypt.Suite interface boundary would escape
-// to the heap per call, so payload copies come from here instead.
+// keyBufPool holds key-sized scratch for EncryptKeyTo: a stack array
+// passed across the crypt.Suite interface boundary would escape to the
+// heap per call, so payload copies come from here instead.
 var keyBufPool = sync.Pool{New: func() any { return new([crypt.SymKeyLen]byte) }}
 
-// sealKeyTo appends suite-sealed payload to dst without allocating
-// beyond what dst capacity requires.
-func sealKeyTo(s crypt.Suite, dst []byte, under, payload crypt.SymKey) []byte {
-	buf := keyBufPool.Get().(*[crypt.SymKeyLen]byte)
-	*buf = payload
-	dst = s.SealTo(dst, under, buf[:])
-	keyBufPool.Put(buf)
-	return dst
-}
-
-// SealingEncryptor wraps keys with real authenticated encryption
-// (crypt.Seal/Open) in the legacy construction. Use for anything
-// security-relevant where no suite has been negotiated.
-type SealingEncryptor struct{}
-
-var _ AppendEncryptor = SealingEncryptor{}
-
-// EncryptKey implements Encryptor.
-func (SealingEncryptor) EncryptKey(under, payload crypt.SymKey) []byte {
-	return crypt.Seal(under, payload[:])
-}
-
-// DecryptKey implements Encryptor.
-func (SealingEncryptor) DecryptKey(under crypt.SymKey, ciphertext []byte) (crypt.SymKey, error) {
-	pt, err := crypt.Open(under, ciphertext)
-	if err != nil {
-		return crypt.SymKey{}, err
-	}
-	return crypt.SymKeyFromBytes(pt)
-}
-
-// EncryptKeyTo implements AppendEncryptor.
-func (SealingEncryptor) EncryptKeyTo(dst []byte, under, payload crypt.SymKey) []byte {
-	return sealKeyTo(legacySuite(), dst, under, payload)
-}
-
-// KeyCiphertextLen implements AppendEncryptor.
-func (SealingEncryptor) KeyCiphertextLen() int { return crypt.SymKeyLen + crypt.SealOverhead }
-
-func legacySuite() crypt.Suite {
-	s, err := crypt.SuiteByID(crypt.SuiteLegacy)
-	if err != nil {
-		panic(err) // legacy is always registered
-	}
-	return s
-}
-
-// SuiteEncryptor wraps keys with a negotiated cipher suite — the
-// datapath form of SealingEncryptor. A zero SuiteEncryptor is invalid;
-// construct with NewSuiteEncryptor.
+// SuiteEncryptor wraps keys with real authenticated encryption under a
+// cipher suite — the negotiated one on the datapath. A zero
+// SuiteEncryptor is invalid; construct with NewSuiteEncryptor.
 type SuiteEncryptor struct {
 	suite crypt.Suite
 }
 
-var _ AppendEncryptor = SuiteEncryptor{}
+var _ Encryptor = SuiteEncryptor{}
 
-// NewSuiteEncryptor returns an encryptor wrapping keys with s.
+// NewSuiteEncryptor returns an encryptor wrapping keys with s; nil means
+// the legacy suite, the construction used where none was negotiated.
 func NewSuiteEncryptor(s crypt.Suite) SuiteEncryptor {
 	if s == nil {
-		s = legacySuite()
+		var err error
+		if s, err = crypt.SuiteByID(crypt.SuiteLegacy); err != nil {
+			panic(err) // legacy is always registered
+		}
 	}
 	return SuiteEncryptor{suite: s}
-}
-
-// Suite returns the wrapped cipher suite.
-func (e SuiteEncryptor) Suite() crypt.Suite { return e.suite }
-
-// EncryptKey implements Encryptor.
-func (e SuiteEncryptor) EncryptKey(under, payload crypt.SymKey) []byte {
-	return e.suite.Seal(under, payload[:])
 }
 
 // DecryptKey implements Encryptor.
@@ -304,12 +247,16 @@ func (e SuiteEncryptor) DecryptKey(under crypt.SymKey, ciphertext []byte) (crypt
 	return crypt.SymKeyFromBytes(pt)
 }
 
-// EncryptKeyTo implements AppendEncryptor.
+// EncryptKeyTo implements Encryptor.
 func (e SuiteEncryptor) EncryptKeyTo(dst []byte, under, payload crypt.SymKey) []byte {
-	return sealKeyTo(e.suite, dst, under, payload)
+	buf := keyBufPool.Get().(*[crypt.SymKeyLen]byte)
+	*buf = payload
+	dst = e.suite.SealTo(dst, under, buf[:])
+	keyBufPool.Put(buf)
+	return dst
 }
 
-// KeyCiphertextLen implements AppendEncryptor.
+// KeyCiphertextLen implements Encryptor.
 func (e SuiteEncryptor) KeyCiphertextLen() int { return crypt.SymKeyLen + e.suite.Overhead() }
 
 // AccountingEncryptor produces ciphertexts of exactly key length with no
@@ -319,18 +266,9 @@ func (e SuiteEncryptor) KeyCiphertextLen() int { return crypt.SymKeyLen + e.suit
 // Only size and message-structure experiments may use it.
 type AccountingEncryptor struct{}
 
-var _ AppendEncryptor = AccountingEncryptor{}
+var _ Encryptor = AccountingEncryptor{}
 
-// EncryptKey implements Encryptor.
-func (AccountingEncryptor) EncryptKey(under, payload crypt.SymKey) []byte {
-	out := make([]byte, crypt.SymKeyLen)
-	for i := range out {
-		out[i] = payload[i] ^ under[i]
-	}
-	return out
-}
-
-// EncryptKeyTo implements AppendEncryptor.
+// EncryptKeyTo implements Encryptor.
 func (AccountingEncryptor) EncryptKeyTo(dst []byte, under, payload crypt.SymKey) []byte {
 	for i := 0; i < crypt.SymKeyLen; i++ {
 		dst = append(dst, payload[i]^under[i])
@@ -338,7 +276,7 @@ func (AccountingEncryptor) EncryptKeyTo(dst []byte, under, payload crypt.SymKey)
 	return dst
 }
 
-// KeyCiphertextLen implements AppendEncryptor.
+// KeyCiphertextLen implements Encryptor.
 func (AccountingEncryptor) KeyCiphertextLen() int { return crypt.SymKeyLen }
 
 // DecryptKey implements Encryptor.

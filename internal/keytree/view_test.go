@@ -25,7 +25,7 @@ type areaSim struct {
 
 func newAreaSim(t *testing.T, cfg Config) *areaSim {
 	if cfg.Encryptor == nil {
-		cfg.Encryptor = SealingEncryptor{}
+		cfg.Encryptor = NewSuiteEncryptor(nil)
 	}
 	return &areaSim{
 		t:        t,
@@ -382,7 +382,7 @@ func TestFreshnessRefreshAreaKey(t *testing.T) {
 		}
 	}
 	// An outsider holding the update but not the old key learns nothing.
-	if _, err := (SealingEncryptor{}).DecryptKey(crypt.NewSymKey(), res.Update.Entries[0].Ciphertext); err == nil {
+	if _, err := NewSuiteEncryptor(nil).DecryptKey(crypt.NewSymKey(), res.Update.Entries[0].Ciphertext); err == nil {
 		t.Error("random key decrypted the freshness entry")
 	}
 }
@@ -399,7 +399,7 @@ func TestRefreshAreaKeyEmptyTree(t *testing.T) {
 }
 
 func TestRebaseResetsView(t *testing.T) {
-	enc := SealingEncryptor{}
+	enc := NewSuiteEncryptor(nil)
 	v := NewMemberView(PathKeys{{Node: 1, Key: crypt.NewSymKey()}, {Node: 0, Key: crypt.NewSymKey()}}, 3, enc)
 	if v.PathLen() != 2 || v.NumKeys() != 2 || v.Epoch() != 3 {
 		t.Fatalf("initial view wrong: len=%d keys=%d epoch=%d", v.PathLen(), v.NumKeys(), v.Epoch())
@@ -419,7 +419,7 @@ func TestRebaseResetsView(t *testing.T) {
 }
 
 func TestEmptyViewAreaKey(t *testing.T) {
-	v := NewMemberView(nil, 0, SealingEncryptor{})
+	v := NewMemberView(nil, 0, NewSuiteEncryptor(nil))
 	if !v.AreaKey().IsZero() {
 		t.Error("empty view returned a non-zero area key")
 	}

@@ -269,10 +269,10 @@ func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
 
 	// Build the next epoch's update: root key re-encrypted under the old.
 	newKey := crypt.NewSymKey()
-	enc := keytree.SealingEncryptor{}
+	enc := keytree.NewSuiteEncryptor(nil)
 	entry := keytree.Entry{
 		Node: 1, Under: 1,
-		Ciphertext: enc.EncryptKey(path[0].Key, newKey),
+		Ciphertext: enc.EncryptKeyTo(nil, path[0].Key, newKey),
 	}
 	body, err := wire.PlainBody(wire.KeyUpdate{AreaID: "area-x", Epoch: 2, Entries: []keytree.Entry{entry}})
 	if err != nil {

@@ -4,10 +4,13 @@
 // replicas, and when the primary's heartbeats stop the replicas run a
 // Bully-style quorum leader election. Candidates are ordered by applied
 // journal LSN (ties broken by ID), so the winner always holds the
-// longest log; it rebuilds the controller with area.NewFromJournal,
-// which regenerates byte-identical tree keys, and takes over with zero
-// member rejoins. Losers re-point their monitoring at the new leader and
-// keep replicating — the replica set heals itself.
+// longest log; it installs that log as its own journal, rebuilds the
+// controller from it with area.NewFromJournal — which regenerates
+// byte-identical tree keys — and takes over with zero member rejoins.
+// The promoted controller appends to the installed journal under the dead
+// primary's LSN numbering, so the losers re-point their monitoring at the
+// new leader and keep pulling the same log — the replica set heals itself,
+// and a second failover restores everything the first winner did.
 //
 // With no peers configured the machinery degenerates to the paper's
 // passive backup: a quorum of one promotes immediately after the
@@ -81,17 +84,19 @@ type Config struct {
 	// the announcer relays the takeover notice on the winner's behalf.
 	Announcer bool
 	// ControllerConfig seeds the promoted controller (KShared, RSPub,
-	// Directory, timing...). Transport, Keys, ID, Clock are overridden
-	// with the replica's own.
+	// Directory, timing...). Transport, Keys, ID, Clock, and Journal are
+	// overridden with the replica's own.
 	ControllerConfig area.Config
-	// ColdState, if set, is a state recovered from a durable journal. It
-	// lets the replica promote even when the primary died before sending
-	// a single sync or heartbeat: after a takeover window of silence
-	// measured from Start, the replica restores from ColdState. Fresher
-	// replicated state always wins.
-	ColdState *area.State
-	// OnPromote, if set, is called with the promoted controller.
-	OnPromote func(*area.Controller)
+	// Journal locates the replica's own journal; Dir is required. Nothing
+	// is written there until this replica wins an election: the winner
+	// installs the log it replicated, and the promoted controller keeps
+	// appending to it for the surviving replicas to pull.
+	Journal journal.Options
+	// Seed, if set, is what the primary's journal held when it booted.
+	// The replica starts its log from it, so it can take over even when
+	// the primary dies before answering a single pull — after a takeover
+	// window of silence measured from Start.
+	Seed *journal.Recovery
 	// Observer, if set, receives election and failover trace events. It
 	// is also handed to the promoted controller.
 	Observer obs.Sink
@@ -105,30 +110,26 @@ type Replica struct {
 	cfg Config
 	clk clock.Clock
 
-	// mu guards the replicated state and promotion result: accessors stay
+	// mu guards the replicated log and promotion result: accessors stay
 	// readable after the loop exits at promotion.
 	mu sync.Mutex
-	// Snapshot-mode state (legacy full-state sync from unjournaled
-	// primaries).
-	state    *area.State
-	stateSeq uint64
-	// Journal-mode accumulation: a baseline snapshot plus the record tail
-	// — exactly the shape of a journal.Recovery.
+	// The replicated log: a baseline snapshot plus the record tail —
+	// exactly the shape of a journal.Recovery.
 	base    []byte
 	baseLSN uint64
 	recs    [][]byte
-	nextLSN uint64 // next LSN needed; 0 until the first record lands
+	nextLSN uint64 // next LSN needed; 0 while the log is unknown
 
 	hbEvery  time.Duration
 	takeover time.Duration
 
-	primaryID   string
-	primaryPub  crypt.PublicKey
-	primaryAddr string
+	primaryID  string
+	primaryPub crypt.PublicKey
 
+	// lastHB is when the primary last showed life; Start sets it, so a
+	// primary never heard from gets one full window before it is declared
+	// dead.
 	lastHB   time.Time
-	hbSeen   bool
-	started  time.Time
 	lastPull time.Time
 
 	electing      bool
@@ -148,14 +149,10 @@ type Replica struct {
 	metrics    *obs.Registry
 	cElections *obs.Counter
 	promoted   *area.Controller
-	syncCount  int64
+	journal    *journal.Journal // the promoted controller's; closed with it
 
 	loop *node.Loop
 }
-
-// Backup is the historical name for a Replica, kept for the passive
-// single-backup reading of §IV-C.
-type Backup = Replica
 
 // New validates the config and builds a replica.
 func New(cfg Config) (*Replica, error) {
@@ -164,6 +161,9 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if cfg.PrimaryID == "" || cfg.PrimaryPub.IsZero() {
 		return nil, fmt.Errorf("replica: PrimaryID and PrimaryPub are required")
+	}
+	if cfg.Journal.Dir == "" {
+		return nil, fmt.Errorf("replica: Journal.Dir is required: a winner continues the replicated log there")
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == "" || p.Addr == "" || p.Pub.IsZero() {
@@ -187,6 +187,12 @@ func New(cfg Config) (*Replica, error) {
 		primaryPub: cfg.PrimaryPub,
 	}
 	r.takeover = r.takeoverWindow()
+	if rec := cfg.Seed; rec != nil {
+		// The seed is shared with the primary and the peer replicas: cap
+		// the tail so appending to it reallocates.
+		r.base, r.baseLSN, r.recs = rec.Snapshot, rec.SnapshotLSN, rec.Records[:len(rec.Records):len(rec.Records)]
+		r.nextLSN = rec.SnapshotLSN + uint64(len(rec.Records)) + 1
+	}
 	for _, p := range cfg.Peers {
 		if p.ID > cfg.ID {
 			r.rank++
@@ -232,15 +238,24 @@ func (r *Replica) areaID() string { return r.cfg.ControllerConfig.AreaID }
 // Start launches the monitoring loop.
 func (r *Replica) Start() {
 	r.mu.Lock()
-	r.started = r.clk.Now()
+	r.lastHB = r.clk.Now()
 	r.mu.Unlock()
 	r.loop.Start()
 }
 
-// Close stops the monitoring loop. A promoted controller keeps running;
-// the caller owns it via OnPromote or Promoted.
+// Close stops the monitoring loop and, after a promotion, the promoted
+// controller and the journal it appends to.
 func (r *Replica) Close() {
 	r.loop.Close()
+	r.mu.Lock()
+	ctrl, j := r.promoted, r.journal
+	r.mu.Unlock()
+	if ctrl != nil {
+		ctrl.Close()
+		if err := j.Close(); err != nil {
+			r.cfg.Logf("%s: closing journal: %v", r.cfg.ID, err)
+		}
+	}
 }
 
 // Promoted returns the controller this replica promoted, if any.
@@ -253,59 +268,17 @@ func (r *Replica) Promoted() (*area.Controller, error) {
 	return r.promoted, nil
 }
 
-// HasState reports whether any replicated state has been absorbed —
-// a full snapshot or at least one journal record.
-func (r *Replica) HasState() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state != nil || r.nextLSN > 0
-}
-
-// SyncCount reports how many syncs (snapshots or segment pushes that
-// advanced the log) were absorbed.
-func (r *Replica) SyncCount() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.syncCount
-}
-
-// AppliedLSN reports one past the last journal record absorbed (0 before
-// the first segment push).
+// AppliedLSN reports one past the last journal record held — the one
+// position the replica pulls from and campaigns on (0 while the log is
+// unknown).
 func (r *Replica) AppliedLSN() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.nextLSN
 }
 
-// StateMembers reports how many members the latest absorbed full
-// snapshot contains (zero in segment-sync mode, where membership is not
-// materialized until promotion).
-func (r *Replica) StateMembers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state == nil {
-		return 0
-	}
-	return len(r.state.Members)
-}
-
 // Stats exposes the replica's metrics registry (elections won).
 func (r *Replica) Stats() *obs.Registry { return r.metrics }
-
-// positionLocked is the replica's durability position for candidate
-// ordering: the applied journal LSN, or the legacy snapshot sequence
-// when the primary replicates full states. Both are monotonic.
-func (r *Replica) positionLocked() uint64 {
-	if r.nextLSN > r.stateSeq {
-		return r.nextLSN
-	}
-	return r.stateSeq
-}
-
-// restorableLocked reports whether promotion has anything to restore.
-func (r *Replica) restorableLocked() bool {
-	return r.nextLSN > 0 || r.state != nil || r.cfg.ColdState != nil
-}
 
 // tick runs the heartbeat monitor and the election timer (loop context).
 func (r *Replica) tick() {
@@ -325,15 +298,8 @@ func (r *Replica) tick() {
 		}
 		return
 	}
-	// With no heartbeat ever heard, silence runs from Start: a cold
-	// restore only fires after the primary had a full takeover window to
-	// show signs of life.
-	since := r.lastHB
-	if !r.hbSeen {
-		since = r.started
-	}
-	silence := now.Sub(since)
-	if silence <= r.takeover+r.staggerLocked() || now.Before(r.suppressUntil) || !r.restorableLocked() {
+	silence := now.Sub(r.lastHB)
+	if silence <= r.takeover+r.staggerLocked() || now.Before(r.suppressUntil) || r.nextLSN == 0 {
 		r.mu.Unlock()
 		return
 	}
@@ -367,7 +333,7 @@ func (r *Replica) startElection(reason string) {
 	r.electing = true
 	r.votes = make(map[string]bool)
 	r.electionEnds = now.Add(r.takeover + r.staggerLocked())
-	lsn := r.positionLocked()
+	lsn := r.nextLSN
 	primary := r.primaryID
 	r.mu.Unlock()
 	r.trace.Event(obs.ProtoElection, primary, "candidate",
@@ -382,8 +348,6 @@ func (r *Replica) startElection(reason string) {
 
 func (r *Replica) handleFrame(f *wire.Frame) {
 	switch f.Kind {
-	case wire.KindReplicaSync:
-		r.handleSync(f)
 	case wire.KindReplicaHeartbeat:
 		r.handleHeartbeat(f)
 	case wire.KindSegmentPush:
@@ -418,36 +382,6 @@ func (r *Replica) verifyPrimary(f *wire.Frame) bool {
 	return pub.Verify(f.Body, f.Sig) == nil
 }
 
-// handleSync absorbs a legacy full-state snapshot from an unjournaled
-// primary.
-func (r *Replica) handleSync(f *wire.Frame) {
-	if !r.verifyPrimary(f) {
-		r.cfg.Logf("%s: replica sync with bad signature dropped", r.cfg.ID)
-		return
-	}
-	var sync wire.ReplicaSync
-	if err := wire.OpenBody(r.cfg.Keys, f.Body, &sync); err != nil {
-		r.cfg.Logf("%s: replica sync body: %v", r.cfg.ID, err)
-		return
-	}
-	st, err := area.DecodeState(sync.State)
-	if err != nil {
-		r.cfg.Logf("%s: replica state: %v", r.cfg.ID, err)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state != nil && sync.Seq <= r.stateSeq {
-		return // stale or duplicate snapshot
-	}
-	r.state = st
-	r.stateSeq = sync.Seq
-	r.syncCount++
-	r.lastHB = r.clk.Now()
-	r.hbSeen = true
-	r.primaryAddr = f.From
-}
-
 // handleHeartbeat notes primary liveness and pulls the journal tail when
 // the advertised position is ahead of ours.
 func (r *Replica) handleHeartbeat(f *wire.Frame) {
@@ -461,23 +395,16 @@ func (r *Replica) handleHeartbeat(f *wire.Frame) {
 	r.mu.Lock()
 	now := r.clk.Now()
 	r.lastHB = now
-	r.hbSeen = true
-	r.primaryAddr = f.From
-	// The heartbeat advertises the primary's last position (journal LSN
-	// or legacy state sequence); pull when it passes what we hold. On a
-	// legacy primary the pull is answered with a full ReplicaSync, which
-	// repairs a lost snapshot push.
-	applied := r.stateSeq
-	if r.nextLSN > 0 && r.nextLSN-1 > applied {
-		applied = r.nextLSN - 1
+	// The heartbeat advertises the primary's last journal LSN; pull when
+	// it reaches the first one we lack.
+	need := r.nextLSN
+	if need == 0 {
+		need = 1
 	}
 	var fromLSN uint64
-	if hb.Seq > applied && now.Sub(r.lastPull) >= r.hbEvery {
+	if hb.Seq >= need && now.Sub(r.lastPull) >= r.hbEvery {
 		r.lastPull = now
-		fromLSN = r.nextLSN
-		if fromLSN == 0 {
-			fromLSN = 1
-		}
+		fromLSN = need
 	}
 	r.mu.Unlock()
 	if fromLSN > 0 {
@@ -503,8 +430,6 @@ func (r *Replica) handleSegmentPush(f *wire.Frame) {
 	r.mu.Lock()
 	now := r.clk.Now()
 	r.lastHB = now
-	r.hbSeen = true
-	r.primaryAddr = f.From
 	if push.HeartbeatEvery > 0 && push.HeartbeatEvery != r.hbEvery {
 		r.hbEvery = push.HeartbeatEvery
 		r.takeover = r.takeoverWindow()
@@ -513,13 +438,10 @@ func (r *Replica) handleSegmentPush(f *wire.Frame) {
 	if need == 0 {
 		need = 1
 	}
-	changed := false
 	if push.Snapshot != nil && push.SnapshotLSN+1 > need {
-		r.base = push.Snapshot
-		r.baseLSN = push.SnapshotLSN
-		r.recs = nil
+		r.base, r.baseLSN, r.recs = push.Snapshot, push.SnapshotLSN, nil
 		need = push.SnapshotLSN + 1
-		changed = true
+		r.nextLSN = need
 	}
 	if push.FromLSN > need {
 		// A gap: this push starts past what we hold. Re-pull from our
@@ -535,12 +457,7 @@ func (r *Replica) handleSegmentPush(f *wire.Frame) {
 	if push.NextLSN > need {
 		skip := need - push.FromLSN
 		r.recs = append(r.recs, push.Records[skip:]...)
-		need = push.NextLSN
-		changed = true
-	}
-	if changed {
-		r.nextLSN = need
-		r.syncCount++
+		r.nextLSN = push.NextLSN
 	}
 	r.mu.Unlock()
 }
@@ -568,7 +485,7 @@ func (r *Replica) handleElection(f *wire.Frame) {
 		r.mu.Unlock()
 		return
 	}
-	mine := r.positionLocked()
+	mine := r.nextLSN
 	if e.LSN > mine || (e.LSN == mine && e.CandidateID >= r.cfg.ID) {
 		// The candidate is at least as durable: stand down and let it
 		// collect the quorum. If no Coordinator emerges within the
@@ -600,9 +517,8 @@ func (r *Replica) handleElection(f *wire.Frame) {
 	}
 	// We hold a longer log than the candidate: bully it.
 	alreadyElecting := r.electing
-	restorable := r.restorableLocked()
 	r.mu.Unlock()
-	if !alreadyElecting && restorable {
+	if !alreadyElecting && mine > 0 {
 		r.startElection("bully")
 	}
 }
@@ -654,9 +570,7 @@ func (r *Replica) handleCoordinator(f *wire.Frame) {
 	r.votedFor = ""
 	r.primaryID = co.LeaderID
 	r.primaryPub = pub
-	r.primaryAddr = co.Addr
 	r.lastHB = r.clk.Now()
-	r.hbSeen = true
 	announcer := r.cfg.Announcer
 	r.mu.Unlock()
 	r.trace.Event(obs.ProtoElection, co.LeaderID, "coordinator",
@@ -686,11 +600,12 @@ func (r *Replica) maybeWin() {
 	r.win(votes)
 }
 
-// win rebuilds the controller from the replicated journal (or state) and
-// takes over the area.
+// win takes over the area with the controller rebuilt from the
+// replicated log.
 func (r *Replica) win(votes int) {
-	ctrl := r.buildController()
-	if ctrl == nil {
+	ctrl, j, err := r.restore()
+	if err != nil {
+		r.cfg.Logf("%s: promotion failed: %v", r.cfg.ID, err)
 		r.mu.Lock()
 		r.suppressUntil = r.clk.Now().Add(r.takeover)
 		r.mu.Unlock()
@@ -703,7 +618,7 @@ func (r *Replica) win(votes int) {
 	// every subsequent frame then reaches the promoted controller.
 	r.loop.Exit()
 	r.mu.Lock()
-	lsn := r.positionLocked()
+	lsn := r.nextLSN
 	primary := r.primaryID
 	r.mu.Unlock()
 	r.cElections.Inc()
@@ -727,56 +642,42 @@ func (r *Replica) win(votes int) {
 	ctrl.Start()
 	ctrl.AnnounceFailover()
 	r.mu.Lock()
-	r.promoted = ctrl
+	r.promoted, r.journal = ctrl, j
 	r.mu.Unlock()
-	if r.cfg.OnPromote != nil {
-		r.cfg.OnPromote(ctrl)
-	}
 }
 
-// buildController restores the area controller from the freshest
-// replicated source: the accumulated journal first (byte-identical tree
-// keys), then the last full snapshot, then the cold state.
-func (r *Replica) buildController() *area.Controller {
+// restore rebuilds the area controller from the replicated log. The log
+// is first installed as this replica's own journal and recovered from
+// there, so the controller resumes appending at the dead primary's next
+// LSN and the surviving replicas pull the continuation exactly as they
+// pulled the original. The disk work runs without mu held.
+func (r *Replica) restore() (*area.Controller, *journal.Journal, error) {
 	r.mu.Lock()
+	rec := &journal.Recovery{Snapshot: r.base, SnapshotLSN: r.baseLSN, Records: r.recs}
+	r.mu.Unlock()
+	if err := journal.Install(r.cfg.Journal, rec); err != nil {
+		return nil, nil, err
+	}
+	j, rec, err := journal.Open(r.cfg.Journal)
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg := r.cfg.ControllerConfig
 	cfg.ID = r.cfg.ID
 	cfg.Transport = r.cfg.Transport
 	cfg.Keys = r.cfg.Keys
 	cfg.Clock = r.cfg.Clock
 	cfg.Logf = r.cfg.Logf
+	cfg.Journal = j
 	if cfg.Observer == nil {
 		cfg.Observer = r.cfg.Observer
 	}
-	var (
-		ctrl *area.Controller
-		err  error
-	)
-	if r.nextLSN > 0 {
-		rec := &journal.Recovery{
-			Snapshot:    r.base,
-			SnapshotLSN: r.baseLSN,
-			Records:     r.recs,
-		}
-		r.mu.Unlock()
-		ctrl, err = area.NewFromJournal(cfg, rec)
-	} else {
-		st := r.state
-		if st == nil {
-			st = r.cfg.ColdState
-		}
-		r.mu.Unlock()
-		if st == nil {
-			r.cfg.Logf("%s: election won with nothing to restore", r.cfg.ID)
-			return nil
-		}
-		ctrl, err = area.NewFromState(cfg, st)
-	}
+	ctrl, err := area.NewFromJournal(cfg, rec)
 	if err != nil {
-		r.cfg.Logf("%s: promotion failed: %v", r.cfg.ID, err)
-		return nil
+		_ = j.Close() // the replay error is the one worth reporting
+		return nil, nil, err
 	}
-	return ctrl
+	return ctrl, j, nil
 }
 
 // sendPlain sends a signed plain-body frame; election traffic carries no

@@ -9,6 +9,7 @@ import (
 
 	"mykil/internal/area"
 	"mykil/internal/crypt"
+	"mykil/internal/journal"
 	"mykil/internal/keytree"
 	"mykil/internal/obs"
 	"mykil/internal/simnet"
@@ -40,7 +41,7 @@ func keyPair(t *testing.T) *crypt.KeyPair {
 type rig struct {
 	t        *testing.T
 	net      *simnet.Network
-	backup   *Backup
+	backup   *Replica
 	primary  transport.Transport
 	priKeys  *crypt.KeyPair
 	backKeys *crypt.KeyPair
@@ -70,6 +71,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 		PrimaryID:      "primary",
 		PrimaryPub:     r.priKeys.Public(),
 		HeartbeatEvery: 20 * time.Millisecond,
+		Journal:        journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncNever},
 		ControllerConfig: area.Config{
 			KShared: crypt.NewSymKey(),
 		},
@@ -85,9 +87,6 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	b.Start()
 	t.Cleanup(func() {
 		b.Close()
-		if ctrl, err := b.Promoted(); err == nil {
-			ctrl.Close()
-		}
 		_ = backTr.Close()
 		_ = r.primary.Close()
 		r.net.Close()
@@ -95,54 +94,117 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	return r
 }
 
-// sampleState builds a one-member area state.
-func sampleState(t *testing.T, memberKeys *crypt.KeyPair) *area.State {
+// sampleEpoch is the key epoch of sampleBaseline's one-member tree.
+const sampleEpoch = 1
+
+// sampleBaseline encodes a one-member area state — the snapshot a
+// segment push carries as its baseline.
+func sampleBaseline(t *testing.T) []byte {
 	t.Helper()
 	tree := keytree.New(keytree.Config{Arity: 2})
 	if _, err := tree.Join("m1"); err != nil {
 		t.Fatalf("tree join: %v", err)
 	}
-	return &area.State{
+	blob, err := area.EncodeState(&area.State{
 		AreaID: "area-0",
 		Tree:   tree.Export(),
 		Members: []area.MemberState{{
 			ID:     "m1",
 			Addr:   "m1",
-			PubDER: memberKeys.Public().Marshal(),
+			PubDER: keyPair(t).Public().Marshal(),
 		}},
-		Seq: 1,
-	}
-}
-
-// sendSync ships a signed state snapshot from the primary endpoint.
-func (r *rig) sendSync(st *area.State, seq uint64, signer *crypt.KeyPair) {
-	r.t.Helper()
-	blob, err := area.EncodeState(st)
-	if err != nil {
-		r.t.Fatalf("EncodeState: %v", err)
-	}
-	body, err := wire.SealBody(r.backKeys.Public(), wire.ReplicaSync{
-		AreaID: st.AreaID, Seq: seq, State: blob,
 	})
 	if err != nil {
-		r.t.Fatalf("SealBody: %v", err)
+		t.Fatalf("EncodeState: %v", err)
 	}
-	f := &wire.Frame{Kind: wire.KindReplicaSync, From: "primary", Body: body, Sig: signer.Sign(body)}
-	if err := r.primary.Send("backup", f); err != nil {
-		r.t.Fatalf("Send: %v", err)
+	return blob
+}
+
+// freshnessRecord forges the smallest valid area journal record: kind
+// byte 2 (an area-key rotation) and its 32-byte rekey seed. Replaying
+// one advances the key epoch by exactly one, which is how these tests
+// see that a record tail was applied.
+func freshnessRecord(seed byte) []byte {
+	rec := make([]byte, 33)
+	rec[0] = 2
+	for i := range rec[1:] {
+		rec[1+i] = seed + byte(i)
+	}
+	return rec
+}
+
+// samplePush is a push of sampleBaseline at LSN base plus n freshness
+// records behind it.
+func samplePush(t *testing.T, base uint64, n int) wire.SegmentPush {
+	t.Helper()
+	push := wire.SegmentPush{
+		AreaID:      "area-0",
+		SnapshotLSN: base,
+		Snapshot:    sampleBaseline(t),
+		FromLSN:     base + 1,
+		NextLSN:     base + 1 + uint64(n),
+	}
+	for i := 0; i < n; i++ {
+		push.Records = append(push.Records, freshnessRecord(byte(16*i)))
+	}
+	return push
+}
+
+// sendPush ships one sealed, signed segment push from the primary
+// endpoint.
+func sendPush(t *testing.T, from transport.Transport, to string, toPub crypt.PublicKey, signer *crypt.KeyPair, push wire.SegmentPush) {
+	t.Helper()
+	body, err := wire.SealBody(toPub, push)
+	if err != nil {
+		t.Fatalf("SealBody: %v", err)
+	}
+	f := &wire.Frame{Kind: wire.KindSegmentPush, From: "primary", Body: body, Sig: signer.Sign(body)}
+	if err := from.Send(to, f); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 }
 
-// sendHeartbeat ships one signed heartbeat.
-func (r *rig) sendHeartbeat(seq uint64) {
+func (r *rig) push(push wire.SegmentPush) {
 	r.t.Helper()
-	body, err := wire.PlainBody(wire.ReplicaHeartbeat{AreaID: "area-0", Seq: seq})
+	sendPush(r.t, r.primary, "backup", r.backKeys.Public(), r.priKeys, push)
+}
+
+// sendHeartbeat ships one signed heartbeat advertising the primary's last
+// LSN.
+func (r *rig) sendHeartbeat(lastLSN uint64) {
+	r.t.Helper()
+	body, err := wire.PlainBody(wire.ReplicaHeartbeat{AreaID: "area-0", Seq: lastLSN})
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	f := &wire.Frame{Kind: wire.KindReplicaHeartbeat, From: "primary", Body: body, Sig: r.priKeys.Sign(body)}
 	if err := r.primary.Send("backup", f); err != nil {
 		r.t.Fatal(err)
+	}
+}
+
+// awaitPull reads the primary endpoint until the backup asks for
+// journal records, and returns the LSN it asked from.
+func (r *rig) awaitPull() uint64 {
+	r.t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case f := <-r.primary.Recv():
+			if f.Kind != wire.KindSegmentPull {
+				continue
+			}
+			if err := r.backKeys.Public().Verify(f.Body, f.Sig); err != nil {
+				r.t.Fatalf("segment pull signature: %v", err)
+			}
+			var pull wire.SegmentPull
+			if err := wire.DecodePlain(f.Body, &pull); err != nil {
+				r.t.Fatalf("segment pull body: %v", err)
+			}
+			return pull.FromLSN
+		case <-deadline:
+			r.t.Fatal("backup never pulled")
+		}
 	}
 }
 
@@ -157,6 +219,11 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
+// lsnIs reports whether the replica's log ends just before lsn.
+func lsnIs(rep *Replica, lsn uint64) func() bool {
+	return func() bool { return rep.AppliedLSN() == lsn }
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
@@ -169,34 +236,36 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
+	jopts := journal.Options{Dir: t.TempDir()}
 	// HeartbeatEvery is only a bootstrap value now — the primary carries
 	// the authoritative cadence in every segment push — so omitting it
 	// must default rather than fail.
-	r, err := New(Config{ID: "b", Transport: tr, Keys: kp, PrimaryID: "p", PrimaryPub: kp.Public()})
+	r, err := New(Config{ID: "b", Transport: tr, Keys: kp, PrimaryID: "p", PrimaryPub: kp.Public(), Journal: jopts})
 	if err != nil {
 		t.Errorf("config without HeartbeatEvery rejected: %v", err)
 	} else if r.hbEvery != DefaultHeartbeatEvery {
 		t.Errorf("hbEvery = %v, want %v", r.hbEvery, DefaultHeartbeatEvery)
 	}
-	if _, err := New(Config{ID: "b", Transport: tr, Keys: kp, PrimaryID: "p", PrimaryPub: kp.Public(),
+	if _, err := New(Config{ID: "b", Transport: tr, Keys: kp, PrimaryID: "p", PrimaryPub: kp.Public(), Journal: jopts,
 		Peers: []Peer{{ID: "x"}}}); err == nil {
 		t.Error("peer without Addr/Pub accepted")
 	}
+	// A winner continues the replicated log in its own journal; a replica
+	// with nowhere to put it could never take over.
+	if _, err := New(Config{ID: "b", Transport: tr, Keys: kp, PrimaryID: "p", PrimaryPub: kp.Public()}); err == nil {
+		t.Error("config without a journal directory accepted")
+	}
 }
 
-func TestAbsorbsStateAndStaysQuietWhileHeartbeating(t *testing.T) {
+func TestAbsorbsPushAndStaysQuietWhileHeartbeating(t *testing.T) {
 	r := newRig(t, nil)
-	st := sampleState(t, keyPair(t))
-	r.sendSync(st, 1, r.priKeys)
-	waitFor(t, "state absorption", 5*time.Second, r.backup.HasState)
-	if r.backup.StateMembers() != 1 {
-		t.Errorf("StateMembers = %d", r.backup.StateMembers())
-	}
+	r.push(samplePush(t, 1, 0))
+	waitFor(t, "push absorption", 5*time.Second, lsnIs(r.backup, 2))
 
 	// Keep heartbeats flowing well past the takeover window; the backup
 	// must not promote.
 	for i := 0; i < 10; i++ {
-		r.sendHeartbeat(uint64(i))
+		r.sendHeartbeat(1)
 		time.Sleep(15 * time.Millisecond)
 	}
 	if _, err := r.backup.Promoted(); !errors.Is(err, ErrNotPromoted) {
@@ -204,91 +273,173 @@ func TestAbsorbsStateAndStaysQuietWhileHeartbeating(t *testing.T) {
 	}
 }
 
-func TestRejectsForgedSync(t *testing.T) {
+func TestRejectsForgedPush(t *testing.T) {
 	r := newRig(t, nil)
-	st := sampleState(t, keyPair(t))
-	attacker := keyPair(t)
-	r.sendSync(st, 1, attacker)
+	sendPush(t, r.primary, "backup", r.backKeys.Public(), keyPair(t), samplePush(t, 1, 0))
 	time.Sleep(60 * time.Millisecond)
-	if r.backup.HasState() {
-		t.Error("forged sync absorbed")
+	if got := r.backup.AppliedLSN(); got != 0 {
+		t.Errorf("forged push absorbed: AppliedLSN = %d", got)
 	}
 }
 
-func TestIgnoresStaleSyncSeq(t *testing.T) {
+func TestIgnoresStaleAndDuplicatePush(t *testing.T) {
 	r := newRig(t, nil)
-	st := sampleState(t, keyPair(t))
-	r.sendSync(st, 5, r.priKeys)
-	waitFor(t, "first sync", 5*time.Second, r.backup.HasState)
+	first := samplePush(t, 5, 2)
+	r.push(first)
+	waitFor(t, "first push", 5*time.Second, lsnIs(r.backup, 8))
 
-	// An older (replayed) snapshot must not overwrite the newer one.
-	empty := &area.State{AreaID: "area-0", Tree: keytree.New(keytree.Config{}).Export(), Seq: 2}
-	r.sendSync(empty, 2, r.priKeys)
+	// The same push again, and a replay of an older stretch of the log
+	// with an older baseline, must leave the log alone.
+	r.push(first)
+	r.push(samplePush(t, 2, 3))
 	time.Sleep(60 * time.Millisecond)
-	if r.backup.StateMembers() != 1 {
-		t.Errorf("stale sync replaced state: members = %d", r.backup.StateMembers())
+	if got := r.backup.AppliedLSN(); got != 8 {
+		t.Errorf("AppliedLSN = %d after stale pushes, want 8", got)
 	}
-	if r.backup.SyncCount() != 1 {
-		t.Errorf("SyncCount = %d, want 1", r.backup.SyncCount())
+	r.backup.mu.Lock()
+	baseLSN, tail := r.backup.baseLSN, len(r.backup.recs)
+	r.backup.mu.Unlock()
+	if baseLSN != 5 || tail != 2 {
+		t.Errorf("log is baseline@%d + %d records, want baseline@5 + 2", baseLSN, tail)
 	}
 }
 
-func TestRejectsCorruptStateBlob(t *testing.T) {
+// TestGapPushRepullsFromOwnPosition: a push that starts past what the
+// replica holds (an earlier one was lost) must not be spliced in; the
+// replica asks again from the first LSN it lacks.
+func TestGapPushRepullsFromOwnPosition(t *testing.T) {
 	r := newRig(t, nil)
-	body, err := wire.SealBody(r.backKeys.Public(), wire.ReplicaSync{
-		AreaID: "area-0", Seq: 1, State: []byte("not a state blob"),
-	})
-	if err != nil {
-		t.Fatal(err)
+	r.push(samplePush(t, 1, 2))
+	waitFor(t, "first push", 5*time.Second, lsnIs(r.backup, 4))
+
+	r.push(wire.SegmentPush{AreaID: "area-0", FromLSN: 7, NextLSN: 8, Records: [][]byte{freshnessRecord(7)}})
+	if from := r.awaitPull(); from != 4 {
+		t.Errorf("re-pull from LSN %d, want 4", from)
 	}
-	f := &wire.Frame{Kind: wire.KindReplicaSync, From: "primary", Body: body, Sig: r.priKeys.Sign(body)}
-	if err := r.primary.Send("backup", f); err != nil {
-		t.Fatal(err)
+	if got := r.backup.AppliedLSN(); got != 4 {
+		t.Errorf("AppliedLSN = %d after a gap push, want 4", got)
 	}
-	time.Sleep(60 * time.Millisecond)
-	if r.backup.HasState() {
-		t.Error("corrupt state blob absorbed")
+}
+
+// TestBaselinePastNeedReplacesTail: when the primary compacted away the
+// records the replica lacks, the push carries a newer baseline; the
+// replica drops its tail for it and continues behind it.
+func TestBaselinePastNeedReplacesTail(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.TakeoverAfter = 60 * time.Millisecond })
+	r.push(samplePush(t, 1, 2))
+	waitFor(t, "first push", 5*time.Second, lsnIs(r.backup, 4))
+
+	r.push(samplePush(t, 9, 1))
+	waitFor(t, "baseline push", 5*time.Second, lsnIs(r.backup, 11))
+	r.backup.mu.Lock()
+	baseLSN, tail := r.backup.baseLSN, len(r.backup.recs)
+	r.backup.mu.Unlock()
+	if baseLSN != 9 || tail != 1 {
+		t.Fatalf("log is baseline@%d + %d records, want baseline@9 + 1", baseLSN, tail)
+	}
+
+	// The rebuilt controller replays only the one record behind the new
+	// baseline, and its journal continues at LSN 11.
+	r.sendHeartbeat(10)
+	waitFor(t, "promotion", 10*time.Second, func() bool { _, err := r.backup.Promoted(); return err == nil })
+	ctrl, _ := r.backup.Promoted()
+	if got := ctrl.Epoch(); got != sampleEpoch+1 {
+		t.Errorf("promoted epoch %d, want %d", got, sampleEpoch+1)
+	}
+	if got := ctrl.JournalLSN(); got != 11 {
+		t.Errorf("promoted journal continues at LSN %d, want 11", got)
+	}
+}
+
+// TestUndecodableLogBacksOff: a log the controller cannot replay — a
+// garbled record, a garbled baseline — must make the winner stand down
+// for a takeover window rather than promote garbage.
+func TestUndecodableLogBacksOff(t *testing.T) {
+	bad := map[string]func(*wire.SegmentPush){
+		"record":   func(p *wire.SegmentPush) { p.Records[1] = []byte{0xFF, 1, 2, 3} },
+		"baseline": func(p *wire.SegmentPush) { p.Snapshot = []byte("not a state blob") },
+	}
+	for name, garble := range bad {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, func(c *Config) { c.TakeoverAfter = 40 * time.Millisecond })
+			push := samplePush(t, 1, 2)
+			garble(&push)
+			r.push(push)
+			waitFor(t, "push absorption", 5*time.Second, lsnIs(r.backup, 4))
+			r.sendHeartbeat(3)
+			waitFor(t, "failed promotion to back off", 5*time.Second, func() bool {
+				r.backup.mu.Lock()
+				defer r.backup.mu.Unlock()
+				return r.backup.suppressUntil.After(time.Now())
+			})
+			if _, err := r.backup.Promoted(); !errors.Is(err, ErrNotPromoted) {
+				t.Error("promoted a log that does not replay")
+			}
+		})
 	}
 }
 
 func TestPromotesAfterSilence(t *testing.T) {
-	promoted := make(chan *area.Controller, 1)
-	r := newRig(t, func(c *Config) {
-		c.TakeoverAfter = 60 * time.Millisecond
-		c.OnPromote = func(ctrl *area.Controller) { promoted <- ctrl }
-	})
-	memberKP := keyPair(t)
-	r.sendSync(sampleState(t, memberKP), 1, r.priKeys)
-	waitFor(t, "sync", 5*time.Second, r.backup.HasState)
-	r.sendHeartbeat(1)
+	r := newRig(t, func(c *Config) { c.TakeoverAfter = 60 * time.Millisecond })
+	r.push(samplePush(t, 3, 2))
+	waitFor(t, "push", 5*time.Second, lsnIs(r.backup, 6))
+	r.sendHeartbeat(5)
 	// Now go silent; promotion must follow.
-	select {
-	case ctrl := <-promoted:
-		if !ctrl.HasMember("m1") {
-			t.Error("promoted controller lost the member")
+	waitFor(t, "promotion after primary silence", 10*time.Second, func() bool {
+		_, err := r.backup.Promoted()
+		return err == nil
+	})
+	ctrl, _ := r.backup.Promoted()
+	if !ctrl.HasMember("m1") {
+		t.Error("promoted controller lost the member")
+	}
+	if got := ctrl.Epoch(); got != sampleEpoch+2 {
+		t.Errorf("promoted epoch %d, want %d (baseline + 2 replayed rotations)", got, sampleEpoch+2)
+	}
+	// The winner's own journal continues the dead primary's numbering.
+	if got := ctrl.JournalLSN(); got != 6 {
+		t.Errorf("promoted journal continues at LSN %d, want 6", got)
+	}
+}
+
+// TestSeedPromotesWithoutContact: a replica seeded with what the
+// primary's journal held at boot restores it when the primary never
+// shows a sign of life.
+func TestSeedPromotesWithoutContact(t *testing.T) {
+	r := newRig(t, func(c *Config) {
+		c.TakeoverAfter = 40 * time.Millisecond
+		c.Seed = &journal.Recovery{
+			Snapshot:    sampleBaseline(t),
+			SnapshotLSN: 3,
+			Records:     [][]byte{freshnessRecord(1)},
 		}
-		got, err := r.backup.Promoted()
-		if err != nil || got != ctrl {
-			t.Errorf("Promoted() = %v, %v", got, err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no promotion after primary silence")
+	})
+	if got := r.backup.AppliedLSN(); got != 5 {
+		t.Fatalf("seeded AppliedLSN = %d, want 5", got)
+	}
+	waitFor(t, "promotion from the seed", 10*time.Second, func() bool {
+		_, err := r.backup.Promoted()
+		return err == nil
+	})
+	ctrl, _ := r.backup.Promoted()
+	if !ctrl.HasMember("m1") || ctrl.Epoch() != sampleEpoch+1 {
+		t.Errorf("seed restored member=%v epoch=%d", ctrl.HasMember("m1"), ctrl.Epoch())
 	}
 }
 
 func TestNoPromotionWithoutState(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.TakeoverAfter = 40 * time.Millisecond })
-	r.sendHeartbeat(1) // heartbeat but never a snapshot
+	r.sendHeartbeat(0) // heartbeat but never a log
 	time.Sleep(300 * time.Millisecond)
 	if _, err := r.backup.Promoted(); !errors.Is(err, ErrNotPromoted) {
-		t.Error("promoted without any replicated state")
+		t.Error("promoted without any replicated log")
 	}
 }
 
 func TestNoPromotionBeforeFirstContact(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.TakeoverAfter = 40 * time.Millisecond })
-	// Total silence from the start: the backup has never seen the
-	// primary, so it must not declare it dead.
+	// Total silence from the start and no seed: the backup has never seen
+	// the primary and holds nothing to restore.
 	time.Sleep(300 * time.Millisecond)
 	if _, err := r.backup.Promoted(); !errors.Is(err, ErrNotPromoted) {
 		t.Error("promoted before first primary contact")
@@ -343,6 +494,7 @@ func newElectionRig(t *testing.T, n int, takeover time.Duration, mutate func(i i
 			PrimaryPub:     r.priKeys.Public(),
 			HeartbeatEvery: 20 * time.Millisecond,
 			TakeoverAfter:  takeover,
+			Journal:        journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncNever},
 			Peers:          others,
 			Announcer:      i == 0,
 			// A winner must keep heartbeating the surviving replicas, or
@@ -367,9 +519,6 @@ func newElectionRig(t *testing.T, n int, takeover time.Duration, mutate func(i i
 	t.Cleanup(func() {
 		for _, rep := range r.reps {
 			rep.Close()
-			if ctrl, err := rep.Promoted(); err == nil {
-				ctrl.Close()
-			}
 		}
 		for _, tr := range trs {
 			_ = tr.Close()
@@ -380,23 +529,10 @@ func newElectionRig(t *testing.T, n int, takeover time.Duration, mutate func(i i
 	return r
 }
 
-// syncTo ships a signed, sealed state snapshot to one replica.
-func (r *electionRig) syncTo(i int, st *area.State, seq uint64) {
+// pushTo ships replica i a baseline at LSN base plus n records.
+func (r *electionRig) pushTo(i int, base uint64, n int) {
 	r.t.Helper()
-	blob, err := area.EncodeState(st)
-	if err != nil {
-		r.t.Fatalf("EncodeState: %v", err)
-	}
-	body, err := wire.SealBody(r.keys[i].Public(), wire.ReplicaSync{
-		AreaID: st.AreaID, Seq: seq, State: blob,
-	})
-	if err != nil {
-		r.t.Fatalf("SealBody: %v", err)
-	}
-	f := &wire.Frame{Kind: wire.KindReplicaSync, From: "primary", Body: body, Sig: r.priKeys.Sign(body)}
-	if err := r.primary.Send(r.reps[i].cfg.ID, f); err != nil {
-		r.t.Fatalf("Send: %v", err)
-	}
+	sendPush(r.t, r.primary, r.reps[i].cfg.ID, r.keys[i].Public(), r.priKeys, samplePush(r.t, base, n))
 }
 
 // promotedCount reports how many replicas promoted a controller.
@@ -417,13 +553,11 @@ func (r *electionRig) promotedCount() int {
 // and the losers must re-point their monitoring at the winner.
 func TestElectionSingleWinnerAtEqualLSN(t *testing.T) {
 	r := newElectionRig(t, 3, 60*time.Millisecond, nil)
-	st := sampleState(t, keyPair(t))
 	for i := 0; i < 3; i++ {
-		r.syncTo(i, st, 1)
+		r.pushTo(i, 1, 1)
 	}
 	for i := 0; i < 3; i++ {
-		rep := r.reps[i]
-		waitFor(t, "sync absorption", 5*time.Second, rep.HasState)
+		waitFor(t, "push absorption", 5*time.Second, lsnIs(r.reps[i], 3))
 	}
 	// Primary goes silent; quorum election follows.
 	waitFor(t, "election winner", 10*time.Second, func() bool {
@@ -471,11 +605,10 @@ func TestElectionSingleWinnerAtEqualLSN(t *testing.T) {
 // log must beat a peer with a higher ID but a shorter log.
 func TestElectionPrefersHigherLSN(t *testing.T) {
 	r := newElectionRig(t, 2, 60*time.Millisecond, nil)
-	st := sampleState(t, keyPair(t))
-	r.syncTo(0, st, 7) // r0 is further ahead...
-	r.syncTo(1, st, 3) // ...than the higher-ID r1
-	waitFor(t, "syncs", 5*time.Second, func() bool {
-		return r.reps[0].HasState() && r.reps[1].HasState()
+	r.pushTo(0, 1, 6) // r0 is further ahead...
+	r.pushTo(1, 1, 2) // ...than the higher-ID r1
+	waitFor(t, "pushes", 5*time.Second, func() bool {
+		return r.reps[0].AppliedLSN() == 8 && r.reps[1].AppliedLSN() == 4
 	})
 	waitFor(t, "r0 wins on LSN", 10*time.Second, func() bool {
 		_, err := r.reps[0].Promoted()
@@ -491,9 +624,8 @@ func TestElectionPrefersHigherLSN(t *testing.T) {
 // peers must never promote, however long the primary stays silent.
 func TestNoQuorumNoPromotion(t *testing.T) {
 	r := newElectionRig(t, 3, 60*time.Millisecond, nil)
-	st := sampleState(t, keyPair(t))
-	r.syncTo(0, st, 1)
-	waitFor(t, "sync", 5*time.Second, r.reps[0].HasState)
+	r.pushTo(0, 1, 1)
+	waitFor(t, "push", 5*time.Second, lsnIs(r.reps[0], 3))
 	// Kill both peers: r0 can campaign but never collect a second vote.
 	r.net.Crash("r1")
 	r.net.Crash("r2")

@@ -52,7 +52,6 @@ var bodyFactories = map[Kind]func() Body{
 	KindAreaJoinReq:      func() Body { return new(AreaJoinReq) },
 	KindAreaJoinAck:      func() Body { return new(AreaJoinAck) },
 	KindAreaJoinDenied:   func() Body { return new(AreaJoinDenied) },
-	KindReplicaSync:      func() Body { return new(ReplicaSync) },
 	KindReplicaHeartbeat: func() Body { return new(ReplicaHeartbeat) },
 	KindACFailover:       func() Body { return new(ACFailover) },
 	KindElection:         func() Body { return new(Election) },
@@ -528,21 +527,6 @@ func (m *AreaJoinDenied) ReadWire(r *codec.Reader) error {
 }
 
 // ---- Replication (§IV-C) ----
-
-// AppendWire implements Marshaler.
-func (m ReplicaSync) AppendWire(b []byte) []byte {
-	b = codec.AppendString(b, m.AreaID)
-	b = codec.AppendUvarint(b, m.Seq)
-	return codec.AppendBytes(b, m.State)
-}
-
-// ReadWire implements Unmarshaler.
-func (m *ReplicaSync) ReadWire(r *codec.Reader) error {
-	m.AreaID = r.String()
-	m.Seq = r.Uvarint()
-	m.State = r.Bytes()
-	return r.Err()
-}
 
 // AppendWire implements Marshaler.
 func (m ReplicaHeartbeat) AppendWire(b []byte) []byte {

@@ -68,7 +68,7 @@ func FuzzDecodePlain(f *testing.F) {
 	// A KeyUpdate-shaped prefix claiming 2^32 entries.
 	f.Add(append([]byte{0x01, 'a', 0x01}, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for k := KindJoinRequest; k <= KindACFailover; k++ {
+		for _, k := range liveKinds() {
 			body, ok := NewBody(k)
 			if !ok {
 				t.Fatalf("no registry entry for %v", k)

@@ -93,7 +93,6 @@ func goldenBodies() map[Kind]Marshaler {
 		KindAreaJoinAck: AreaJoinAck{ParentID: "ac-a", ParentAreaID: "area-0",
 			Path: goldenPath(), Epoch: 18, Timestamp: goldenTime, Suite: crypt.SuiteAESGCM},
 		KindAreaJoinDenied:   AreaJoinDenied{ACID: "ac-b", Reason: "full"},
-		KindReplicaSync:      ReplicaSync{AreaID: "area-0", Seq: 19, State: []byte{0x5A, 0x5B, 0x5C}},
 		KindReplicaHeartbeat: ReplicaHeartbeat{AreaID: "area-0", Seq: 20},
 		KindACFailover: ACFailover{AreaID: "area-0", NewAddr: "10.0.0.5:7000",
 			NewPub: []byte{0xC3, 0xC4}, Epoch: 21},
@@ -109,6 +108,36 @@ func goldenBodies() map[Kind]Marshaler {
 			HeartbeatEvery: 250 * time.Millisecond},
 		KindAreaReassign: AreaReassign{AreaID: "area-0", TargetID: "ac-1s",
 			TargetAddr: "10.0.0.7:7000", TargetPub: []byte{0xC7}, Reason: "split"},
+	}
+}
+
+// retiredKind is wire value 26: the full-state snapshot push, deleted when
+// replication collapsed onto journal segments. The value stays unassigned
+// so every later kind keeps its golden bytes.
+const retiredKind Kind = 26
+
+// liveKinds lists every assigned kind in wire order.
+func liveKinds() []Kind {
+	var out []Kind
+	for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+		if k != retiredKind {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestRetiredKindStaysUnassigned: a frame with the retired value must
+// decode as unknown, not as whatever kind is declared next.
+func TestRetiredKindStaysUnassigned(t *testing.T) {
+	if KindAreaJoinDenied != retiredKind-1 || KindReplicaHeartbeat != retiredKind+1 {
+		t.Fatalf("retired slot moved: neighbours are %d and %d", KindAreaJoinDenied, KindReplicaHeartbeat)
+	}
+	if _, ok := NewBody(retiredKind); ok {
+		t.Error("retired kind has a body factory")
+	}
+	if _, ok := kindNames[retiredKind]; ok {
+		t.Error("retired kind has a protocol name")
 	}
 }
 
@@ -153,7 +182,7 @@ func readGoldens(t *testing.T) map[string]string {
 func TestGoldenFrames(t *testing.T) {
 	bodies := goldenBodies()
 	// Every kind must have a fixture; a new kind without one fails here.
-	for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+	for _, k := range liveKinds() {
 		if _, ok := bodies[k]; !ok {
 			t.Errorf("kind %v has no golden fixture", k)
 		}
@@ -164,7 +193,7 @@ func TestGoldenFrames(t *testing.T) {
 		fmt.Fprintf(&buf, "# Golden wire encodings, one frame per kind: <KindName> <hex(Frame.Encode)>.\n")
 		fmt.Fprintf(&buf, "# Regenerate ONLY on an intentional format change:\n")
 		fmt.Fprintf(&buf, "#   go test ./internal/wire -run TestGoldenFrames -update-golden\n")
-		for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+		for _, k := range liveKinds() {
 			f, err := goldenFrame(k, bodies[k])
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
@@ -186,7 +215,7 @@ func TestGoldenFrames(t *testing.T) {
 	}
 
 	goldens := readGoldens(t)
-	for k := KindJoinRequest; k <= KindAreaReassign; k++ {
+	for _, k := range liveKinds() {
 		body := bodies[k]
 		f, err := goldenFrame(k, body)
 		if err != nil {

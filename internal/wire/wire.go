@@ -89,8 +89,10 @@ const (
 	KindAreaJoinAck    // parent AC -> child AC
 	KindAreaJoinDenied // refusal
 
-	// Primary-backup replication, §IV-C.
-	KindReplicaSync      // primary -> backup state snapshot
+	// Primary-backup replication, §IV-C. Value 26 carried the full-state
+	// snapshot push until replication collapsed onto journal segments; the
+	// slot stays unassigned so no other kind's wire value moves.
+	_
 	KindReplicaHeartbeat // primary -> backup liveness
 	KindACFailover       // backup -> area on takeover
 
@@ -131,7 +133,6 @@ var kindNames = map[Kind]string{
 	KindAreaJoinReq:      "AreaJoinReq",
 	KindAreaJoinAck:      "AreaJoinAck",
 	KindAreaJoinDenied:   "AreaJoinDenied",
-	KindReplicaSync:      "ReplicaSync",
 	KindReplicaHeartbeat: "ReplicaHeartbeat",
 	KindACFailover:       "ACFailover",
 	KindElection:         "Election",
@@ -510,15 +511,6 @@ type AreaJoinDenied struct {
 }
 
 // ---- Replication (§IV-C) ----
-
-// ReplicaSync carries the primary's minimal replicated state: the
-// auxiliary tree, member public keys, and the parent/child controller
-// identities. State is pre-encoded by the area package.
-type ReplicaSync struct {
-	AreaID string
-	Seq    uint64
-	State  []byte
-}
 
 // ReplicaHeartbeat is the primary's periodic liveness signal to its
 // backup.

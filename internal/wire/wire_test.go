@@ -191,7 +191,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestAllKindsNamed(t *testing.T) {
-	for k := KindJoinRequest; k <= KindACFailover; k++ {
+	for _, k := range liveKinds() {
 		if _, ok := kindNames[k]; !ok {
 			t.Errorf("kind %d has no name", k)
 		}
