@@ -176,6 +176,8 @@ func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult, joins []pendin
 		Body: body,
 		Sig:  c.cfg.Keys.Sign(body),
 	}
+	// One *Frame for the whole area: the first send encodes it, every
+	// later one hands the transport the same bytes.
 	for id, entry := range c.members {
 		if skip[id] {
 			continue
@@ -210,6 +212,9 @@ func (c *Controller) freshnessRekey() {
 // of Fig. 2. A §III-E batching flush, if pending, happens first so members
 // hold current keys when the data arrives.
 func (c *Controller) handleData(f *wire.Frame) {
+	// d.EncKey and d.Payload borrow f's delivery buffer. They are only
+	// read (opened into fresh keys, re-encoded into a new body) by the
+	// data-plane job below, which is the last thing to hold them.
 	var d wire.Data
 	if err := wire.DecodePlain(f.Body, &d); err != nil {
 		return

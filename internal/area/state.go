@@ -158,9 +158,7 @@ func (p *ParentStateExport) ReadWire(r *codec.Reader) error {
 
 // EncodeState serializes a State with the deterministic wire codec. The
 // encoding is canonical — one byte sequence per state — so replica blobs
-// diff cleanly and journal snapshots can be golden-pinned. (This replaced
-// the last gob fallback; gob now survives only as a comparison baseline
-// in _test files.)
+// diff cleanly and journal snapshots can be golden-pinned.
 func EncodeState(st *State) ([]byte, error) {
 	if st.Tree == nil {
 		return nil, fmt.Errorf("area: encoding state: nil tree snapshot")

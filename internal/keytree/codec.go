@@ -27,11 +27,15 @@ func (e Entry) AppendWire(b []byte) []byte {
 	return codec.AppendBytes(b, e.Ciphertext)
 }
 
-// ReadWire decodes an Entry written by AppendWire.
+// ReadWire decodes an Entry written by AppendWire. Ciphertext borrows
+// the reader's input instead of copying it: a member unwraps the handful
+// of entries on its own path into fresh keys and drops the rest, so a
+// rekey's ~10 KB of ciphertext is not duplicated per receiver. The entry
+// is valid only while that input (the delivered frame) is unmodified.
 func (e *Entry) ReadWire(r *codec.Reader) error {
 	e.Node = NodeID(r.Varint())
 	e.Under = NodeID(r.Varint())
-	e.Ciphertext = r.Bytes()
+	e.Ciphertext = r.BorrowBytes()
 	return r.Err()
 }
 

@@ -1,11 +1,15 @@
 package keytree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"mykil/internal/crypt"
+	"mykil/internal/race"
 )
 
 // opScript is a generated random operation sequence for property tests.
@@ -223,5 +227,209 @@ func TestQuickSnapshotAlwaysRoundTrips(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapView is the map-indexed MemberView this package shipped before the
+// keys moved into a slice parallel to the path. It is kept here, verbatim
+// in behaviour, as the reference the slice-backed view is checked
+// against.
+type mapView struct {
+	epoch uint64
+	path  []NodeID
+	keys  map[NodeID]crypt.SymKey
+	enc   Encryptor
+}
+
+func newMapView(initial PathKeys, epoch uint64, enc Encryptor) *mapView {
+	v := &mapView{keys: make(map[NodeID]crypt.SymKey), enc: enc}
+	v.rebase(initial, epoch)
+	return v
+}
+
+func (v *mapView) rebase(fresh PathKeys, epoch uint64) {
+	v.path = v.path[:0]
+	for k := range v.keys {
+		delete(v.keys, k)
+	}
+	for _, pk := range fresh {
+		v.path = append(v.path, pk.Node)
+		v.keys[pk.Node] = pk.Key
+	}
+	v.epoch = epoch
+}
+
+func (v *mapView) pathKeys() PathKeys {
+	out := make(PathKeys, 0, len(v.path))
+	for _, id := range v.path {
+		out = append(out, PathKey{Node: id, Key: v.keys[id]})
+	}
+	return out
+}
+
+func (v *mapView) apply(u *KeyUpdate) (updated int, err error) {
+	if u.Epoch <= v.epoch {
+		return 0, ErrStale
+	}
+	if u.Epoch != v.epoch+1 {
+		return 0, ErrEpochGap
+	}
+	onPath := make(map[NodeID]bool, len(v.path))
+	for _, id := range v.path {
+		onPath[id] = true
+	}
+	for _, e := range u.Entries {
+		if !onPath[e.Node] {
+			continue
+		}
+		underKey, ok := v.keys[e.Under]
+		if !ok {
+			continue
+		}
+		newKey, decErr := v.enc.DecryptKey(underKey, e.Ciphertext)
+		if decErr != nil {
+			continue
+		}
+		if existing, ok := v.keys[e.Node]; ok && existing.Equal(newKey) {
+			continue
+		}
+		v.keys[e.Node] = newKey
+		updated++
+	}
+	v.epoch = u.Epoch
+	return updated, nil
+}
+
+// viewPair is one member's slice-backed view and its map reference.
+type viewPair struct {
+	got  *MemberView
+	want *mapView
+}
+
+func (p viewPair) agree(t *testing.T, who MemberID, step int) bool {
+	if p.got.Epoch() != p.want.epoch || p.got.NumKeys() != len(p.want.keys) ||
+		p.got.PathLen() != len(p.want.path) || !reflect.DeepEqual(p.got.PathKeys(), p.want.pathKeys()) {
+		t.Logf("step %d: member %s: view (epoch %d, %d keys) diverged from map reference (epoch %d, %d keys)",
+			step, who, p.got.Epoch(), p.got.NumKeys(), p.want.epoch, len(p.want.keys))
+		return false
+	}
+	return true
+}
+
+// TestQuickViewMatchesMapSemantics drives the slice-backed MemberView and
+// the old map-indexed one through the same random join/leave/batch
+// sequences — residents, displaced members (Rebase) and departed members
+// who keep listening with stale keys — and requires the same `updated`
+// count and error from every Apply and the same Epoch, NumKeys, PathLen
+// and PathKeys after every step. It runs under real key wrapping (a
+// wrong key fails to open) and under the accounting cipher (a wrong key
+// opens to garbage, so the stale views take the store path too).
+func TestQuickViewMatchesMapSemantics(t *testing.T) {
+	for _, enc := range []Encryptor{NewSuiteEncryptor(nil), AccountingEncryptor{}} {
+		f := func(script opScript) bool {
+			rng := rand.New(rand.NewSource(script.seed))
+			tree := New(Config{Arity: script.arity, Encryptor: enc})
+			views := make(map[MemberID]viewPair)
+			departed := make(map[MemberID]viewPair)
+			var population []MemberID
+			next := 0
+			for step := 0; step < script.steps; step++ {
+				var joins, leaves []MemberID
+				for i := rng.Intn(3); i > 0 || len(population)+len(joins) == 0; i-- {
+					joins = append(joins, MemberID(fmt.Sprintf("v%d", next)))
+					next++
+				}
+				if len(population) > 1 {
+					for i := rng.Intn(3); i > 0 && len(population) > 0; i-- {
+						idx := rng.Intn(len(population))
+						leaves = append(leaves, population[idx])
+						population = append(population[:idx], population[idx+1:]...)
+					}
+				}
+				if len(joins) == 0 && len(leaves) == 0 {
+					continue
+				}
+				res, err := tree.Batch(joins, leaves)
+				if err != nil {
+					t.Logf("batch: %v", err)
+					return false
+				}
+				for _, m := range leaves {
+					departed[m] = views[m]
+					delete(views, m)
+				}
+				for _, set := range []map[MemberID]viewPair{views, departed} {
+					for m, p := range set {
+						if _, ok := res.Displaced[m]; ok {
+							continue
+						}
+						gotN, gotErr := p.got.Apply(res.Update)
+						wantN, wantErr := p.want.apply(res.Update)
+						if gotN != wantN || !errors.Is(gotErr, wantErr) {
+							t.Logf("step %d: member %s: Apply = (%d, %v), map reference (%d, %v)",
+								step, m, gotN, gotErr, wantN, wantErr)
+							return false
+						}
+					}
+				}
+				for m, pk := range res.Displaced {
+					views[m].got.Rebase(pk, res.Epoch)
+					views[m].want.rebase(pk, res.Epoch)
+				}
+				for m, pk := range res.Joined {
+					views[m] = viewPair{NewMemberView(pk, res.Epoch, enc), newMapView(pk, res.Epoch, enc)}
+				}
+				population = append(population, joins...)
+				for _, set := range []map[MemberID]viewPair{views, departed} {
+					for m, p := range set {
+						if !p.agree(t, m, step) {
+							return false
+						}
+					}
+				}
+				for m, p := range views {
+					if !p.got.AreaKey().Equal(tree.AreaKey()) {
+						t.Logf("step %d: member %s lost the area key", step, m)
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+			t.Errorf("%T: %v", enc, err)
+		}
+	}
+}
+
+// TestMemberViewApplyZeroAlloc pins that Apply allocates nothing of its
+// own: with the accounting cipher (whose unwrap is alloc-free) a
+// 128-entry leave rekey applies in 0 allocs/op. A suite encryptor adds
+// exactly the plaintext its Open returns per on-path entry, which must
+// stay fresh output because entry ciphertexts alias a shared buffer.
+func TestMemberViewApplyZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("exact allocation counts are not meaningful under the race detector")
+	}
+	tr, changed, fresh, oldKeys := leaveWorkload(t, AccountingEncryptor{}, false, 2048, 32)
+	u := tr.buildUpdate(changed, fresh, oldKeys, true)
+	if len(u.Entries) < 100 {
+		t.Fatalf("workload built %d entries, want a leave-sized rekey", len(u.Entries))
+	}
+	resident := tr.SpreadMembers(1)[0]
+	pk, err := tr.PathKeys(resident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewMemberView(pk, 0, AccountingEncryptor{})
+	step := *u
+	allocs := testing.AllocsPerRun(100, func() {
+		step.Epoch = v.Epoch() + 1
+		if _, err := v.Apply(&step); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MemberView.Apply allocates %.1f/op over %d entries, want 0", allocs, len(u.Entries))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mykil/internal/crypt"
+	"mykil/internal/race"
 )
 
 // leaveWorkload builds a tree of treeSize members, performs one real
@@ -86,6 +87,9 @@ func BenchmarkRekeyConstruction(b *testing.B) {
 // allocs-per-rekey gate: with ReuseUpdates and a suite encryptor, the
 // steady-state construction path must not allocate, for any suite.
 func TestRekeyConstructionZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the exact-alloc pin runs in the non-race CI step")
+	}
 	for _, s := range crypt.Suites() {
 		tr, changed, fresh, oldKeys := leaveWorkload(t, NewSuiteEncryptor(s), true, 512, 16)
 		tr.buildUpdate(changed, fresh, oldKeys, true) // warm scratch + schedules

@@ -87,13 +87,18 @@ var (
 )
 
 // MemberView is the key state one member maintains: the keys along its
-// path, indexed by node ID. The area controller builds the authoritative
-// tree; each member holds only this view and evolves it by applying the
-// KeyUpdates it receives.
+// path. The area controller builds the authoritative tree; each member
+// holds only this view and evolves it by applying the KeyUpdates it
+// receives.
+//
+// A path is at most a tree's depth long (≤ 8 nodes at arity 4 for any
+// area this system runs), so the keys live in a slice parallel to path
+// and lookups are linear scans: Apply builds no index and allocates
+// nothing of its own.
 type MemberView struct {
 	epoch uint64
-	path  []NodeID // leaf first, root last
-	keys  map[NodeID]crypt.SymKey
+	path  []NodeID       // leaf first, root last
+	keys  []crypt.SymKey // keys[i] is the key of path[i]
 	enc   Encryptor
 }
 
@@ -101,15 +106,11 @@ type MemberView struct {
 // join, at the given epoch.
 func NewMemberView(initial PathKeys, epoch uint64, enc Encryptor) *MemberView {
 	v := &MemberView{
-		epoch: epoch,
-		path:  make([]NodeID, 0, len(initial)),
-		keys:  make(map[NodeID]crypt.SymKey, len(initial)),
-		enc:   enc,
+		path: make([]NodeID, 0, len(initial)),
+		keys: make([]crypt.SymKey, 0, len(initial)),
+		enc:  enc,
 	}
-	for _, pk := range initial {
-		v.path = append(v.path, pk.Node)
-		v.keys[pk.Node] = pk.Key
-	}
+	v.Rebase(initial, epoch)
 	return v
 }
 
@@ -118,10 +119,10 @@ func (v *MemberView) Epoch() uint64 { return v.epoch }
 
 // AreaKey returns the member's current area (root) key.
 func (v *MemberView) AreaKey() crypt.SymKey {
-	if len(v.path) == 0 {
+	if len(v.keys) == 0 {
 		return crypt.SymKey{}
 	}
-	return v.keys[v.path[len(v.path)-1]]
+	return v.keys[len(v.keys)-1]
 }
 
 // NumKeys returns how many keys the member currently stores — the
@@ -132,8 +133,8 @@ func (v *MemberView) NumKeys() int { return len(v.keys) }
 // — used when the holder must persist or replicate its state.
 func (v *MemberView) PathKeys() PathKeys {
 	out := make(PathKeys, 0, len(v.path))
-	for _, id := range v.path {
-		out = append(out, PathKey{Node: id, Key: v.keys[id]})
+	for i, id := range v.path {
+		out = append(out, PathKey{Node: id, Key: v.keys[i]})
 	}
 	return out
 }
@@ -144,21 +145,30 @@ func (v *MemberView) PathLen() int { return len(v.path) }
 // Rebase replaces the view's key material, used when a member is moved to
 // a new leaf (displacement during a split) or rejoins an area.
 func (v *MemberView) Rebase(fresh PathKeys, epoch uint64) {
-	v.path = v.path[:0]
-	for k := range v.keys {
-		delete(v.keys, k)
-	}
+	v.path, v.keys = v.path[:0], v.keys[:0]
 	for _, pk := range fresh {
 		v.path = append(v.path, pk.Node)
-		v.keys[pk.Node] = pk.Key
+		v.keys = append(v.keys, pk.Key)
 	}
 	v.epoch = epoch
+}
+
+// index returns the position of id on the view's path, or -1.
+func (v *MemberView) index(id NodeID) int {
+	for i, p := range v.path {
+		if p == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Apply consumes one KeyUpdate, decrypting every entry whose "under" key
 // the member holds and whose "node" lies on the member's path. It returns
 // the number of keys the member actually updated (the paper's §V-B CPU
-// metric) or an error if the update is stale or out of sequence.
+// metric) or an error if the update is stale or out of sequence. Entry
+// ciphertexts are only read — they may alias a delivery buffer other
+// members are applying at the same time.
 func (v *MemberView) Apply(u *KeyUpdate) (updated int, err error) {
 	if u.Epoch <= v.epoch {
 		return 0, fmt.Errorf("%w: update epoch %d, view epoch %d", ErrStale, u.Epoch, v.epoch)
@@ -166,28 +176,28 @@ func (v *MemberView) Apply(u *KeyUpdate) (updated int, err error) {
 	if u.Epoch != v.epoch+1 {
 		return 0, fmt.Errorf("%w: update epoch %d, view epoch %d", ErrEpochGap, u.Epoch, v.epoch)
 	}
-	onPath := make(map[NodeID]bool, len(v.path))
-	for _, id := range v.path {
-		onPath[id] = true
-	}
-	for _, e := range u.Entries {
-		if !onPath[e.Node] {
+	for i := range u.Entries {
+		e := &u.Entries[i]
+		node := v.index(e.Node)
+		if node < 0 {
 			continue
 		}
-		underKey, ok := v.keys[e.Under]
-		if !ok {
-			continue
+		under := node
+		if e.Under != e.Node {
+			if under = v.index(e.Under); under < 0 {
+				continue
+			}
 		}
-		newKey, decErr := v.enc.DecryptKey(underKey, e.Ciphertext)
+		newKey, decErr := v.enc.DecryptKey(v.keys[under], e.Ciphertext)
 		if decErr != nil {
 			// Under self-encryption (join mode) our key for this node may
 			// already be the new one (fresh unicast); skip quietly.
 			continue
 		}
-		if existing, ok := v.keys[e.Node]; ok && existing.Equal(newKey) {
+		if v.keys[node].Equal(newKey) {
 			continue
 		}
-		v.keys[e.Node] = newKey
+		v.keys[node] = newKey
 		updated++
 	}
 	v.epoch = u.Epoch

@@ -147,26 +147,14 @@ func TestForwardSecrecy(t *testing.T) {
 	s.batch(nil, []MemberID{mid(5)})
 	for _, u := range s.updates[len(s.updates)-3:] {
 		for _, e := range u.Entries {
-			for _, nodeID := range leaverNodeIDs(leaver) {
-				key, ok := leaver.keys[nodeID]
-				if !ok {
-					continue
-				}
-				if _, err := s.enc.DecryptKey(key, e.Ciphertext); err == nil {
+			for _, pk := range leaver.PathKeys() {
+				if _, err := s.enc.DecryptKey(pk.Key, e.Ciphertext); err == nil {
 					t.Fatalf("leaver's key for node %d decrypts entry (%d under %d): forward secrecy broken",
-						nodeID, e.Node, e.Under)
+						pk.Node, e.Node, e.Under)
 				}
 			}
 		}
 	}
-}
-
-func leaverNodeIDs(v *MemberView) []NodeID {
-	ids := make([]NodeID, 0, len(v.keys))
-	for id := range v.keys {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 func TestBackwardSecrecy(t *testing.T) {
@@ -184,10 +172,10 @@ func TestBackwardSecrecy(t *testing.T) {
 	joiner := s.views["late-joiner"]
 	for _, u := range history {
 		for _, e := range u.Entries {
-			for id, key := range joiner.keys {
-				if _, err := s.enc.DecryptKey(key, e.Ciphertext); err == nil {
+			for _, pk := range joiner.PathKeys() {
+				if _, err := s.enc.DecryptKey(pk.Key, e.Ciphertext); err == nil {
 					t.Fatalf("joiner's key for node %d decrypts pre-join entry (%d under %d): backward secrecy broken",
-						id, e.Node, e.Under)
+						pk.Node, e.Node, e.Under)
 				}
 			}
 		}

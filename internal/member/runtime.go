@@ -76,6 +76,8 @@ func (m *Member) handleData(f *wire.Frame) {
 	var payload []byte
 	switch d.Cipher {
 	case wire.CipherRC4:
+		// RC4XOR works in place and d.Payload is a window onto the
+		// delivery buffer every receiver of this multicast shares: copy.
 		payload = crypt.RC4XOR(dataKey, append([]byte(nil), d.Payload...))
 	default:
 		if s, ok := payloadSuite(d.Cipher); ok {
@@ -103,6 +105,9 @@ func (m *Member) handleKeyUpdate(f *wire.Frame) {
 		m.cfg.Logf("%s: key update with bad signature dropped", m.cfg.ID)
 		return
 	}
+	// The entries' ciphertexts alias f.Body, which aliases the shared
+	// delivery buffer; Apply unwraps the on-path ones into fresh keys and
+	// nothing of u outlives this handler.
 	var u wire.KeyUpdate
 	if err := wire.DecodePlain(f.Body, &u); err != nil {
 		return

@@ -1,0 +1,155 @@
+package member
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mykil/internal/crypt"
+	"mykil/internal/keytree"
+	"mykil/internal/simnet"
+	"mykil/internal/transport"
+	"mykil/internal/wire"
+)
+
+// TestMembersShareDeliveredBufferReadOnly runs 32 real members, each on
+// its own loop goroutine, against one delivery buffer per multicast: a
+// signed leave rekey and then one AES and one RC4 data packet are each
+// sent as a single *wire.Frame to every member, so every handler
+// verifies, decodes and applies out of the same backing array at the
+// same time. The members must all follow the rekey and decrypt the data,
+// and a SHA-256 of each shared encoding must be unchanged afterwards.
+// Under -race the detector additionally flags any handler that writes
+// into the buffer its neighbours are reading.
+func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
+	const residents = 32
+	acKeys := keyPair(t)
+	suite, err := crypt.SuiteByID(crypt.SuiteLegacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := keytree.NewSuiteEncryptor(suite)
+	tree := keytree.New(keytree.Config{Arity: 4, Encryptor: enc})
+	ids := make([]keytree.MemberID, residents+1)
+	for i := range ids {
+		ids[i] = keytree.MemberID(fmt.Sprintf("m%02d", i))
+	}
+	if err := tree.Preload(ids); err != nil {
+		t.Fatal(err)
+	}
+
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	ac, err := transport.NewSim(n, "ac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ac.Close() }()
+
+	var delivered atomic.Int64
+	members := make([]*Member, residents)
+	for i := range members {
+		id := string(ids[i])
+		tr, err := transport.NewSim(n, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(Config{
+			ID: id, Transport: tr, Keys: acKeys, RSAddr: "rs", RSPub: acKeys.Public(),
+			TIdle: time.Minute, TActive: time.Minute,
+			OnData: func(payload []byte, origin string) {
+				if string(payload) == "shared payload" && origin == "peer" {
+					delivered.Add(1)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Attach the member as a welcome would, without the handshake.
+		pk, err := tree.PathKeys(ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.connected, m.areaID, m.acID, m.acAddr, m.acPub = true, "area-x", "ac", "ac", acKeys.Public()
+		m.view, m.suite = keytree.NewMemberView(pk, tree.Epoch(), enc), suite
+		m.lastACRecv, m.lastSent = m.clk.Now(), m.clk.Now()
+		m.Start()
+		defer func() { m.Close(); _ = tr.Close() }()
+		members[i] = m
+	}
+
+	// multicast sends one frame to every member and returns its shared
+	// encoding with the digest it had when it was handed to the network.
+	multicast := func(kind wire.Kind, body wire.Marshaler, sign bool) ([]byte, [sha256.Size]byte) {
+		t.Helper()
+		b, _ := wire.PlainBody(body)
+		f := &wire.Frame{Kind: kind, From: "ac", Body: b}
+		if sign {
+			f.Sig = acKeys.Sign(b)
+		}
+		shared, _ := f.Encode()
+		sum := sha256.Sum256(shared)
+		for _, id := range ids[:residents] {
+			if err := ac.Send(string(id), f); err != nil {
+				t.Fatalf("send %v to %s: %v", kind, id, err)
+			}
+		}
+		return shared, sum
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// The last preloaded member leaves: a leave-mode rekey every resident
+	// must follow.
+	res, err := tree.Batch(nil, ids[residents:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekey, rekeySum := multicast(wire.KindKeyUpdate,
+		wire.KeyUpdate{AreaID: "area-x", Epoch: res.Epoch, Entries: res.Update.Entries}, true)
+	waitFor("every member to apply the rekey", func() bool {
+		for _, m := range members {
+			if m.Epoch() != res.Epoch {
+				return false
+			}
+		}
+		return true
+	})
+	for _, m := range members {
+		var key crypt.SymKey
+		_ = m.call(func() { key = m.view.AreaKey() })
+		if !key.Equal(tree.AreaKey()) {
+			t.Fatalf("%s applied the shared rekey but holds the wrong area key", m.cfg.ID)
+		}
+	}
+
+	dataKey := crypt.NewSymKey()
+	encKey := suite.Seal(tree.AreaKey(), dataKey[:])
+	aes, aesSum := multicast(wire.KindData, wire.Data{
+		Origin: "peer", OriginArea: "area-x", Seq: 1, FromArea: "area-x",
+		Cipher: wire.CipherAES, EncKey: encKey, Payload: crypt.Seal(dataKey, []byte("shared payload")),
+	}, false)
+	rc4, rc4Sum := multicast(wire.KindData, wire.Data{
+		Origin: "peer", OriginArea: "area-x", Seq: 2, FromArea: "area-x",
+		Cipher: wire.CipherRC4, EncKey: encKey, Payload: crypt.RC4XOR(dataKey, []byte("shared payload")),
+	}, false)
+	waitFor("every member to decrypt both packets", func() bool { return delivered.Load() == 2*residents })
+
+	for name, c := range map[string]struct {
+		buf []byte
+		sum [sha256.Size]byte
+	}{"KeyUpdate": {rekey, rekeySum}, "Data/AES": {aes, aesSum}, "Data/RC4": {rc4, rc4Sum}} {
+		if sha256.Sum256(c.buf) != c.sum {
+			t.Errorf("%s: a receiver wrote into the shared delivery buffer", name)
+		}
+	}
+}

@@ -78,7 +78,9 @@ var (
 	ErrSelfDelivery = errors.New("simnet: message addressed to sender")
 )
 
-// Envelope is one delivered message.
+// Envelope is one delivered message. Payload is the slice the sender
+// passed to Send, which other receivers of the same multicast may hold
+// too: read it, copy what must outlive the handler, never write to it.
 type Envelope struct {
 	From    string
 	To      string
@@ -665,17 +667,20 @@ func (e *Endpoint) Addr() string { return e.addr }
 
 // Send transmits payload to another node. A nil error means the message
 // was accepted, not that it will arrive: partitions and loss drop silently,
-// as on a real best-effort network. Payload is copied; the caller may
-// reuse the slice.
+// as on a real best-effort network.
+//
+// Payload is owned by the network after Send and shared read-only with
+// the receiver: it is queued and delivered as Envelope.Payload without a
+// copy, so the caller must not write to or reuse the slice afterwards.
+// Sending one slice to N nodes is how a multicast costs one buffer —
+// every lane and inbox holds the same backing array.
 func (e *Endpoint) Send(to string, payload []byte) error {
 	select {
 	case <-e.done:
 		return ErrNetClosed
 	default:
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	return e.net.send(e.addr, to, buf)
+	return e.net.send(e.addr, to, payload)
 }
 
 // Inbox returns the delivery channel. The channel is never closed; use

@@ -45,19 +45,30 @@ func TestBasicDelivery(t *testing.T) {
 	}
 }
 
-func TestPayloadCopied(t *testing.T) {
+// TestPayloadShared pins the ownership contract of Send: the network
+// takes the slice, and every receiver of a multicast observes the
+// sender's backing array itself, not a copy of it.
+func TestPayloadShared(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()
 	a := n.MustEndpoint("a")
-	b := n.MustEndpoint("b")
-
-	buf := []byte("original")
-	if err := a.Send("b", buf); err != nil {
-		t.Fatalf("Send: %v", err)
+	const receivers = 16
+	eps := make([]*Endpoint, receivers)
+	for i := range eps {
+		eps[i] = n.MustEndpoint(fmt.Sprintf("r%02d", i))
 	}
-	copy(buf, "CLOBBER!")
-	if got := string(recv(t, b).Payload); got != "original" {
-		t.Errorf("payload = %q; sender mutation leaked through", got)
+
+	buf := []byte("one buffer per multicast")
+	for _, ep := range eps {
+		if err := a.Send(ep.Addr(), buf); err != nil {
+			t.Fatalf("Send to %s: %v", ep.Addr(), err)
+		}
+	}
+	for _, ep := range eps {
+		got := recv(t, ep).Payload
+		if len(got) != len(buf) || &got[0] != &buf[0] {
+			t.Errorf("%s received a copy; want the sender's backing array", ep.Addr())
+		}
 	}
 }
 

@@ -68,7 +68,9 @@ func PendingFrames(n *simnet.Network) int {
 }
 
 // pump decodes envelopes into frames. Frames that fail to decode are
-// dropped, as a real stack drops corrupt datagrams.
+// dropped, as a real stack drops corrupt datagrams. A decoded frame
+// borrows the envelope's payload, which the other receivers of the same
+// multicast borrow too.
 func (s *Sim) pump() {
 	for {
 		select {
@@ -91,7 +93,8 @@ func (s *Sim) pump() {
 // Addr implements Transport.
 func (s *Sim) Addr() string { return s.ep.Addr() }
 
-// Send implements Transport.
+// Send implements Transport. The network is handed the frame's own
+// encoding, not a copy, so an area multicast queues one buffer N times.
 func (s *Sim) Send(to string, f *wire.Frame) error {
 	b, err := f.Encode()
 	if err != nil {

@@ -27,8 +27,10 @@ type TCP struct {
 	frames chan *wire.Frame
 	done   chan struct{}
 
+	// mu guards the maps and closing; it is never held across network
+	// I/O, so a peer that stops reading stalls only its own connection.
 	mu      sync.Mutex
-	conns   map[string]net.Conn
+	conns   map[string]*peerConn
 	inbound map[net.Conn]struct{}
 	closing bool
 
@@ -49,7 +51,7 @@ func NewTCP(addr string) (*TCP, error) {
 		ln:      ln,
 		frames:  make(chan *wire.Frame, 256),
 		done:    make(chan struct{}),
-		conns:   make(map[string]net.Conn),
+		conns:   make(map[string]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
 	}
 	t.wg.Add(1)
@@ -118,6 +120,26 @@ func (t *TCP) readLoop(conn net.Conn) {
 // Addr implements Transport.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
+// peerConn is one cached outbound connection. Its write lock makes a
+// frame atomic on the stream — prefix and bytes of one Send never
+// interleave with another's — without serializing sends to other peers.
+type peerConn struct {
+	net.Conn
+	wmu sync.Mutex
+}
+
+// writeFrame sends the length prefix and the frame's (shared, read-only)
+// encoding as one vectored write: no per-destination copy of the bytes.
+func (p *peerConn) writeFrame(b []byte) error {
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], uint32(len(b)))
+	bufs := net.Buffers{prefix[:], b}
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	_, err := bufs.WriteTo(p.Conn)
+	return err
+}
+
 // Send implements Transport.
 func (t *TCP) Send(to string, f *wire.Frame) error {
 	select {
@@ -133,14 +155,12 @@ func (t *TCP) Send(to string, f *wire.Frame) error {
 	if err != nil {
 		return err
 	}
-	msg := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(msg[:4], uint32(len(b)))
-	copy(msg[4:], b)
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, err := conn.Write(msg); err != nil {
-		delete(t.conns, to)
+	if err := conn.writeFrame(b); err != nil {
+		t.mu.Lock()
+		if t.conns[to] == conn {
+			delete(t.conns, to)
+		}
+		t.mu.Unlock()
 		_ = conn.Close()
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
@@ -148,28 +168,29 @@ func (t *TCP) Send(to string, f *wire.Frame) error {
 }
 
 // conn returns a cached connection to the destination, dialing if needed.
-func (t *TCP) conn(to string) (net.Conn, error) {
+func (t *TCP) conn(to string) (*peerConn, error) {
 	t.mu.Lock()
 	c, ok := t.conns[to]
 	t.mu.Unlock()
 	if ok {
 		return c, nil
 	}
-	c, err := net.DialTimeout("tcp", to, dialTimeout)
+	raw, err := net.DialTimeout("tcp", to, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closing {
-		_ = c.Close()
+		_ = raw.Close()
 		return nil, ErrClosed
 	}
 	if existing, ok := t.conns[to]; ok {
 		// Lost the race; keep the first connection.
-		_ = c.Close()
+		_ = raw.Close()
 		return existing, nil
 	}
+	c = &peerConn{Conn: raw}
 	t.conns[to] = c
 	return c, nil
 }
@@ -190,7 +211,7 @@ func (t *TCP) Close() error {
 		for _, c := range t.conns {
 			_ = c.Close()
 		}
-		t.conns = make(map[string]net.Conn)
+		t.conns = make(map[string]*peerConn)
 		for c := range t.inbound {
 			_ = c.Close()
 		}

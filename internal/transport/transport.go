@@ -20,10 +20,17 @@ var ErrClosed = errors.New("transport: closed")
 type Transport interface {
 	// Addr returns this endpoint's address, used by peers to reach it.
 	Addr() string
-	// Send encodes and transmits a frame to the given address.
+	// Send transmits a frame to the given address. It is the only send
+	// primitive: a multicast is Send called once per receiver with the
+	// same *Frame, which is encoded on the first call and whose one
+	// encoding every later call (and, in-process, every receiver)
+	// shares. The frame is therefore immutable from its first Send.
 	Send(to string, f *wire.Frame) error
 	// Recv returns the channel of decoded incoming frames. The channel
-	// is never closed; select on Done for shutdown.
+	// is never closed; select on Done for shutdown. A received frame's
+	// Body and Sig borrow the delivery buffer, which other receivers
+	// may share: handlers read them and copy whatever outlives the
+	// handler.
 	Recv() <-chan *wire.Frame
 	// Done is closed when the transport shuts down.
 	Done() <-chan struct{}

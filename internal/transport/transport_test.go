@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -243,6 +244,80 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no frame reached the restarted peer")
 		}
+	}
+}
+
+// TestTCPBlockedPeerDoesNotStallOthers pins that a peer which stops
+// reading blocks only the sends addressed to it: while one Send sits in
+// a write the kernel cannot complete, sends to a healthy peer (and the
+// connection lookups behind them) proceed, and Close still returns.
+func TestTCPBlockedPeerDoesNotStallOthers(t *testing.T) {
+	stuck, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = stuck.Close() }()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := stuck.Accept(); err == nil {
+			accepted <- c // held open, never read
+		}
+	}()
+
+	a, b, cleanup := tcpPair(t)
+	defer cleanup()
+
+	// Larger than any loopback socket buffer: the write must block.
+	huge := &wire.Frame{Kind: wire.KindData, From: a.Addr(), Body: make([]byte, 64<<20)}
+	blocked := make(chan error, 1)
+	go func() { blocked <- a.Send(stuck.Addr().String(), huge) }()
+	var stuckConn net.Conn
+	select {
+	case stuckConn = <-accepted:
+		defer func() { _ = stuckConn.Close() }()
+	case <-time.After(5 * time.Second):
+		t.Fatal("stuck peer never accepted")
+	}
+
+	// Keep the healthy link busy for long enough that the huge write has
+	// certainly filled the socket buffers and parked.
+	sent := 0
+	for start := time.Now(); time.Since(start) < 300*time.Millisecond; sent++ {
+		done := make(chan error, 1)
+		f := &wire.Frame{Kind: wire.KindData, From: a.Addr(), Body: []byte{byte(sent)}}
+		go func() { done <- a.Send(b.Addr(), f) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("send %d to healthy peer: %v", sent, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("send %d to healthy peer stalled behind the blocked one", sent)
+		}
+		if got := recvFrame(t, b); got.Body[0] != byte(sent) {
+			t.Fatalf("healthy peer received frame %d out of order", got.Body[0])
+		}
+	}
+	select {
+	case err := <-blocked:
+		t.Fatalf("send to the stuck peer returned (%v); it was meant to block", err)
+	default:
+	}
+
+	closed := make(chan struct{})
+	go func() { _ = a.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close stalled behind the blocked send")
+	}
+	select {
+	case err := <-blocked:
+		if err == nil {
+			t.Error("blocked send reported success after Close")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked send never returned after Close")
 	}
 }
 

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"mykil/internal/crypt"
@@ -85,6 +87,17 @@ func readACInfo(r *codec.Reader, a *ACInfo) {
 	a.ID = r.String()
 	a.Addr = r.String()
 	a.PubDER = r.Bytes()
+}
+
+// readSuiteID reads a uvarint cipher-suite ID, rejecting values beyond
+// the ID's one byte: truncating them would give one suite many
+// encodings.
+func readSuiteID(r *codec.Reader) (crypt.SuiteID, error) {
+	v := r.Uvarint()
+	if v > math.MaxUint8 {
+		return 0, fmt.Errorf("%w: suite id %d", codec.ErrValue, v)
+	}
+	return crypt.SuiteID(v), r.Err()
 }
 
 // acInfoMinWire bounds a directory entry count claim: two length
@@ -228,8 +241,8 @@ func (m *JoinWelcome) ReadWire(r *codec.Reader) error {
 	m.AreaID = r.String()
 	m.BackupAddr = r.String()
 	m.BackupPub = r.Bytes()
-	m.Suite = crypt.SuiteID(r.Uvarint())
-	return r.Err()
+	m.Suite, err = readSuiteID(r)
+	return err
 }
 
 // AppendWire implements Marshaler.
@@ -344,8 +357,8 @@ func (m *RejoinWelcome) ReadWire(r *codec.Reader) error {
 	m.AreaID = r.String()
 	m.BackupAddr = r.String()
 	m.BackupPub = r.Bytes()
-	m.Suite = crypt.SuiteID(r.Uvarint())
-	return r.Err()
+	m.Suite, err = readSuiteID(r)
+	return err
 }
 
 // AppendWire implements Marshaler.
@@ -374,15 +387,17 @@ func (m Data) AppendWire(b []byte) []byte {
 	return codec.AppendBytes(b, m.Payload)
 }
 
-// ReadWire implements Unmarshaler.
+// ReadWire implements Unmarshaler. EncKey and Payload borrow the input
+// (the delivered frame's body, shared by every receiver of the
+// multicast): open them into fresh output, never in place.
 func (m *Data) ReadWire(r *codec.Reader) error {
 	m.Origin = r.String()
 	m.OriginArea = r.String()
 	m.Seq = r.Uvarint()
 	m.FromArea = r.String()
 	m.Cipher = DataCipher(r.Byte())
-	m.EncKey = r.Bytes()
-	m.Payload = r.Bytes()
+	m.EncKey = r.BorrowBytes()
+	m.Payload = r.BorrowBytes()
 	return r.Err()
 }
 
@@ -393,7 +408,8 @@ func (m KeyUpdate) AppendWire(b []byte) []byte {
 	return keytree.AppendEntries(b, m.Entries)
 }
 
-// ReadWire implements Unmarshaler.
+// ReadWire implements Unmarshaler. The entries' ciphertexts borrow the
+// input (see keytree.ReadEntries).
 func (m *KeyUpdate) ReadWire(r *codec.Reader) error {
 	m.AreaID = r.String()
 	m.Epoch = r.Uvarint()
@@ -509,8 +525,8 @@ func (m *AreaJoinAck) ReadWire(r *codec.Reader) error {
 	}
 	m.Epoch = r.Uvarint()
 	m.Timestamp = r.Time()
-	m.Suite = crypt.SuiteID(r.Uvarint())
-	return r.Err()
+	m.Suite, err = readSuiteID(r)
+	return err
 }
 
 // AppendWire implements Marshaler.

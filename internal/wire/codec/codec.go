@@ -16,6 +16,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -103,9 +104,10 @@ type Reader struct {
 	err error
 }
 
-// NewReader returns a Reader over b. The Reader copies any
-// variable-length field it returns, so b may be reused once decoding
-// completes.
+// NewReader returns a Reader over b. The Reader copies every
+// variable-length field it returns except those read with BorrowBytes,
+// so b may be reused once decoding completes unless a borrowed field is
+// still in use.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // Err returns the first decoding error, or nil.
@@ -214,12 +216,22 @@ func (r *Reader) Uint64() uint64 {
 // Bytes reads a length-prefixed byte string into a fresh slice. A zero
 // length yields nil.
 func (r *Reader) Bytes() []byte {
+	return bytes.Clone(r.BorrowBytes())
+}
+
+// BorrowBytes reads a length-prefixed byte string without copying: the
+// result is a sub-slice of the Reader's input, capacity clipped so an
+// append cannot reach the next field. It stays valid only while the
+// input is neither modified nor reused, and keeping it keeps the whole
+// input alive — so it is for large fields consumed before the decoder's
+// caller returns (a frame's body and signature, rekey ciphertexts, data
+// payloads). Bytes is the default. A zero length yields nil.
+func (r *Reader) BorrowBytes() []byte {
 	n := r.length()
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }

@@ -181,3 +181,38 @@ func TestReaderDoesNotAliasInput(t *testing.T) {
 		t.Errorf("decoded bytes alias the input buffer: %v", got)
 	}
 }
+
+// TestBorrowBytesAliasesInput pins the one non-copying read: the result
+// is a window onto the input (a later write to the input shows through),
+// its capacity stops at the field so an append cannot reach the next
+// one, and an over-long length prefix is rejected exactly as Bytes
+// rejects it.
+func TestBorrowBytesAliasesInput(t *testing.T) {
+	src := AppendBytes(nil, []byte{7, 7, 7})
+	src = AppendBytes(src, nil)
+	src = AppendByte(src, 0x42)
+	r := NewReader(src)
+	got := r.BorrowBytes()
+	if &got[0] != &src[1] || len(got) != 3 || cap(got) != 3 {
+		t.Fatalf("BorrowBytes = %v (cap %d), want a 3-byte window at src[1:4]", got, cap(got))
+	}
+	if empty := r.BorrowBytes(); empty != nil {
+		t.Errorf("empty field = %v, want nil", empty)
+	}
+	src[2] = 0xFF
+	if got[1] != 0xFF {
+		t.Error("borrowed bytes do not alias the input")
+	}
+	_ = append(got, 0x99)
+	if v := r.Byte(); v != 0x42 {
+		t.Errorf("append to a borrowed field overwrote the next one: %#x", v)
+	}
+	if err := r.Finish(); err != nil {
+		t.Errorf("Finish: %v", err)
+	}
+
+	r = NewReader([]byte{0x05, 0x01}) // claims 5 bytes, has 1
+	if v := r.BorrowBytes(); v != nil || !errors.Is(r.Err(), ErrLength) {
+		t.Errorf("truncated input: %v, err %v, want nil and ErrLength", v, r.Err())
+	}
+}

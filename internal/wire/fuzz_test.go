@@ -40,6 +40,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Errorf("decode/encode not canonical:\n in: %x\nout: %x", data, re)
 		}
+		// The check above is only worth something if re was built from the
+		// decoded fields: a frame that answered Encode from the buffer it
+		// was decoded from would pass it for any input.
+		if &re[0] == &data[0] {
+			t.Error("decoded frame returned its input as its encoding")
+		}
 		// The body must be independently decodable or rejected, never a
 		// panic, for every registered kind.
 		if body, ok := NewBody(frame.Kind); ok {

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"mykil/internal/crypt"
@@ -159,34 +160,81 @@ var (
 )
 
 // Frame is the unit handed to the transport.
+//
+// A frame is immutable from its first Send: a multicast hands the same
+// *Frame to the transport once per receiver and every receiver is given
+// the one encoding, so neither the fields nor the bytes behind Body and
+// Sig may change afterwards. Build a new Frame to send something else.
 type Frame struct {
 	Kind Kind
-	From string // sender's transport address
+	From string
 	Body []byte
 	Sig  []byte // optional RSA signature over Body
+
+	// enc is the encoding Encode last built, with the field values it was
+	// built from. Atomic so that goroutines sending one frame may race to
+	// encode it: each publishes a complete, identical encoding.
+	enc atomic.Pointer[frameEncoding]
+}
+
+// frameEncoding is one cached Frame.Encode result. It is never modified
+// after it is published.
+type frameEncoding struct {
+	kind      Kind
+	from      string
+	body, sig []byte // compared by identity, not content
+	bytes     []byte
+}
+
+// sameSlice reports whether a and b are the same window onto the same
+// array.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Encode serializes the frame: one kind byte, then the length-prefixed
 // sender address, body, and signature. The error return is kept for
 // transport compatibility; encoding itself cannot fail.
+//
+// The frame keeps its encoding, so sending it to N receivers encodes it
+// once: later calls return the same slice, which transports and
+// receivers share — callers must not write to it. The cached bytes are
+// reused only while Kind, From, Body and Sig are the values (for the
+// slices: the same backing array and length) they were built from, so
+// assigning a field after an Encode — a late `f.Sig = …` — re-encodes
+// rather than sending stale bytes. Writing into Body's or Sig's array in
+// place is not detected; the immutability rule above forbids it.
 func (f *Frame) Encode() ([]byte, error) {
+	if e := f.enc.Load(); e != nil && e.kind == f.Kind && e.from == f.From &&
+		sameSlice(e.body, f.Body) && sameSlice(e.sig, f.Sig) {
+		return e.bytes, nil
+	}
 	b := make([]byte, 0, 1+3*binary.MaxVarintLen32+len(f.From)+len(f.Body)+len(f.Sig))
 	b = codec.AppendByte(b, byte(f.Kind))
 	b = codec.AppendString(b, f.From)
 	b = codec.AppendBytes(b, f.Body)
 	b = codec.AppendBytes(b, f.Sig)
+	f.enc.Store(&frameEncoding{kind: f.Kind, from: f.From, body: f.Body, sig: f.Sig, bytes: b})
 	return b, nil
 }
 
 // DecodeFrame reverses Frame.Encode. The whole input must be consumed;
 // trailing bytes are an error, so every frame has exactly one encoding.
+//
+// The returned frame borrows b: Body and Sig are windows onto it, not
+// copies, so b must not be modified or reused while the frame (or
+// anything decoded from its body without copying — KeyUpdate entry
+// ciphertexts, Data.EncKey and Data.Payload) is in use. Receivers of one
+// multicast share b; they read it and copy what they keep. The decoded
+// frame does not adopt b as its encoding: Encode on it builds fresh
+// bytes.
 func DecodeFrame(b []byte) (*Frame, error) {
 	r := codec.NewReader(b)
 	f := &Frame{
 		Kind: Kind(r.Byte()),
 		From: r.String(),
-		Body: r.Bytes(),
-		Sig:  r.Bytes(),
+		Body: r.BorrowBytes(),
+		Sig:  r.BorrowBytes(),
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)

@@ -50,6 +50,112 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeOnceAndStaleGuard pins the frame's encoding cache: repeated
+// Encodes return the one buffer (so a multicast shares it), and changing
+// any exported field afterwards — the late `f.Sig = …` — re-encodes
+// instead of sending the stale bytes.
+func TestEncodeOnceAndStaleGuard(t *testing.T) {
+	f := &Frame{Kind: KindKeyUpdate, From: "ac-1", Body: []byte{1, 2, 3}}
+	first, _ := f.Encode()
+	again, _ := f.Encode()
+	if &first[0] != &again[0] {
+		t.Fatal("second Encode built a second buffer")
+	}
+	unsigned := append([]byte(nil), first...)
+
+	for name, mutate := range map[string]func(){
+		"Sig":  func() { f.Sig = []byte{9, 8} },
+		"Body": func() { f.Body = []byte{1, 2, 3} }, // equal bytes, another array
+		"From": func() { f.From = "ac-2" },
+		"Kind": func() { f.Kind = KindACAlive },
+	} {
+		before, _ := f.Encode()
+		mutate()
+		after, _ := f.Encode()
+		if &before[0] == &after[0] {
+			t.Errorf("%s changed after Encode, yet Encode returned the stale buffer", name)
+		}
+		want := &Frame{Kind: f.Kind, From: f.From, Body: f.Body, Sig: f.Sig}
+		fresh, _ := want.Encode()
+		if !bytes.Equal(after, fresh) {
+			t.Errorf("%s changed: re-encode = %x, want %x", name, after, fresh)
+		}
+		if cached, _ := f.Encode(); &cached[0] != &after[0] {
+			t.Errorf("%s changed: the re-encoding was not cached in turn", name)
+		}
+	}
+	if !bytes.Equal(first, unsigned) {
+		t.Error("re-encoding wrote into the earlier, possibly already sent, buffer")
+	}
+}
+
+// TestDecodeFrameBorrowsInput documents the receive-side aliasing: a
+// decoded frame's Body and Sig are windows onto the buffer it was
+// decoded from — as are a KeyUpdate's entry ciphertexts and a Data's
+// EncKey and Payload decoded from that Body — so a write to the buffer
+// shows through all of them, while From is a copy. It also pins that the decoded frame does not answer Encode from its input.
+func TestDecodeFrameBorrowsInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body Marshaler
+		// decode returns the fields that borrow body.
+		decode func(body []byte) (borrowed [][]byte, err error)
+	}{
+		{"KeyUpdate",
+			KeyUpdate{AreaID: "a1", Epoch: 4, Entries: []keytree.Entry{{Node: 7, Under: 3, Ciphertext: []byte{0xC0, 0xC1}}}},
+			func(body []byte) ([][]byte, error) {
+				var u KeyUpdate
+				if err := DecodePlain(body, &u); err != nil {
+					return nil, err
+				}
+				return [][]byte{u.Entries[0].Ciphertext}, nil
+			}},
+		{"Data",
+			Data{Origin: "m1", FromArea: "a1", Seq: 1, Cipher: CipherAES, EncKey: []byte{0xE0, 0xE1}, Payload: []byte{0xD0, 0xD1}},
+			func(body []byte) ([][]byte, error) {
+				var d Data
+				if err := DecodePlain(body, &d); err != nil {
+					return nil, err
+				}
+				return [][]byte{d.EncKey, d.Payload}, nil
+			}},
+	} {
+		body, _ := PlainBody(tc.body)
+		buf, _ := (&Frame{Kind: KindKeyUpdate, From: "ac-1", Body: body, Sig: []byte{5, 5}}).Encode()
+		f, err := DecodeFrame(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		re, _ := f.Encode()
+		if &re[0] == &buf[0] || !bytes.Equal(re, buf) {
+			t.Errorf("%s: a decoded frame must re-encode to equal bytes in a buffer of its own", tc.name)
+		}
+		borrowed, err := tc.decode(f.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		borrowed = append(borrowed, f.Body, f.Sig)
+		before := make([][]byte, len(borrowed))
+		for i, p := range borrowed {
+			before[i] = append([]byte(nil), p...)
+		}
+
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		for i, p := range borrowed {
+			for j := range p {
+				if p[j] != before[i][j]^0xFF {
+					t.Fatalf("%s: borrowed field %d does not alias the delivery buffer", tc.name, i)
+				}
+			}
+		}
+		if f.From != "ac-1" {
+			t.Errorf("%s: From = %q: strings must be copies, unaffected by the buffer", tc.name, f.From)
+		}
+	}
+}
+
 func TestDecodeFrameRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {}, []byte("garbage"), make([]byte, 100)} {
 		if _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
