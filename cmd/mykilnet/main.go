@@ -62,7 +62,7 @@ func run() error {
 		linger      = flag.Duration("linger", 0, "keep the group (and metrics endpoint) up this long after the run")
 		jdir        = flag.String("journal-dir", "", "enable durable journaling under this directory; rerunning with the same directory restarts the group from its journals")
 		fsync       = flag.String("fsync", "always", "journal sync policy: always, interval, never, or group (concurrent appends share fsyncs at full durability)")
-		suite       = flag.String("suite", "", "cipher suite for key-tree and data-key sealing: legacy (default), aes-gcm, or chacha20-poly1305")
+		suite       = flag.String("suite", "", "cipher suite for key-tree, data-key and payload sealing: legacy (default), aes-gcm, or chacha20-poly1305")
 		segBytes    = flag.Int64("segment-bytes", 0, "journal segment rotation threshold (0 = default)")
 		replicas    = flag.Int("replicas", 0, "replicas per controller running quorum leader election (0 = none; needs -journal-dir)")
 		splitAt     = flag.Int("split-at", 0, "split an area once its live membership exceeds this watermark (0 = never)")

@@ -82,6 +82,42 @@ func TestFakeClockEvictionAfterSilence(t *testing.T) {
 	}
 }
 
+// A PathRequest is unsigned: one naming a member but sent from another
+// address must neither count as that member's sign of life (it would
+// postpone the §IV-A eviction indefinitely) nor buy a sealed and signed
+// PathUpdate.
+func TestFakeClockForgedPathRequestIgnored(t *testing.T) {
+	fake := clock.NewFake(fakeEpoch)
+	r := newRig(t, func(c *Config) {
+		c.Clock = fake
+		c.TIdle = time.Hour
+		c.TActive = 2 * time.Hour
+		c.RekeyInterval = time.Hour
+	})
+	w := r.joinAt("c1", fake.Now())
+
+	// Nine hours into c1's silence a non-member speaks in its name.
+	fake.Advance(9 * time.Hour)
+	body, err := wire.PlainBody(wire.PathRequest{MemberID: "c1", Epoch: w.Epoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.peer.Send("ac-0", &wire.Frame{Kind: wire.KindPathRequest, From: "ac-peer", Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	expectNoKind(t, r.cli, wire.KindPathUpdate, 150*time.Millisecond)
+	expectNoKind(t, r.peer, wire.KindPathUpdate, 10*time.Millisecond)
+
+	// 5×T_active = 10h: eleven hours after c1 was last heard it is gone,
+	// which it would not be had the forgery refreshed it at nine.
+	fake.Advance(2 * time.Hour)
+	for deadline := time.Now().Add(5 * time.Second); r.ctrl.HasMember("c1"); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("forged PathRequest postponed the silent member's eviction")
+		}
+	}
+}
+
 func TestFakeClockFreshnessRekey(t *testing.T) {
 	fake := clock.NewFake(fakeEpoch)
 	r := newRig(t, func(c *Config) {

@@ -442,15 +442,19 @@ func (c *Controller) admitRejoin(sess *rejoinSession) {
 }
 
 // handlePathRequest resends a member's path keys after it detected a
-// missed rekey.
+// missed rekey. The frame is unsigned, so only the member's own address
+// may speak for it: anyone else could otherwise keep a silent member from
+// eviction and buy an RSA seal and signature per forged frame.
 func (c *Controller) handlePathRequest(f *wire.Frame) {
 	var req wire.PathRequest
 	if err := wire.DecodePlain(f.Body, &req); err != nil {
 		return
 	}
-	if entry, ok := c.members[req.MemberID]; ok {
-		entry.lastSeen = c.clk.Now()
+	entry, ok := c.members[req.MemberID]
+	if !ok || entry.addr != f.From {
+		return
 	}
+	entry.lastSeen = c.clk.Now()
 	c.resendPath(req.MemberID)
 }
 

@@ -28,14 +28,13 @@ import (
 )
 
 // DefaultRSABits keeps in-process experiments fast; the paper's 2048-bit
-// keys are selected by raising Config.RSABits.
+// keys are selected with WithRSABits.
 const DefaultRSABits = 1024
 
-// Config describes a deployment. Build one with the functional-options
-// form core.New(core.WithAreas(2), ...) — the struct is the option
-// functions' target (WithConfig seeds it wholesale for tests that want
-// a literal).
-type Config struct {
+// config describes a deployment. It is the With* option functions'
+// private target: core.New(core.WithAreas(2), ...) is the one way to
+// fill it.
+type config struct {
 	// NumAreas is the number of areas (and controllers). Controllers
 	// form a tree: controller i's parent is controller (i-1)/AreaFanout.
 	NumAreas int
@@ -47,12 +46,12 @@ type Config struct {
 	Batching bool
 	// TreeArity sets auxiliary-key-tree fan-out (0 = paper's 4).
 	TreeArity int
-	// CipherSuite names the symmetric suite every controller runs for
-	// key-tree ciphertexts and hop-by-hop data-key sealing: "legacy"
-	// (the default, and the paper's HMAC+stream construction), "aes-gcm",
-	// or "chacha20-poly1305". Members advertise what they speak at
-	// join/rejoin and controllers deny joiners that cannot follow the
-	// area's suite.
+	// CipherSuite names the symmetric suite every area runs — key-tree
+	// ciphertexts, hop-by-hop data-key sealing and its members' data
+	// payloads: "legacy" (the default, and the paper's HMAC+stream
+	// construction), "aes-gcm", or "chacha20-poly1305". Members
+	// advertise what they speak at join/rejoin and controllers deny
+	// joiners that cannot follow the area's suite.
 	CipherSuite string
 	// NumReplicas gives every controller n replicas running quorum leader
 	// election over journal-segment replication (internal/replica); one
@@ -102,26 +101,13 @@ type Config struct {
 	VerifyTimeout  time.Duration
 	HeartbeatEvery time.Duration
 	OpTimeout      time.Duration
-	// JournalDir, if non-empty, makes controllers and the registration
-	// server durable: each controller journals under
-	// <JournalDir>/<acID>, the registration server under
-	// <JournalDir>/rs, and a replica that wins an election continues its
-	// controller's log under <JournalDir>/<replicaID>. On New, any state
-	// the controller and registration-server journals hold is
-	// recovered first, so building a group over an existing JournalDir
-	// is a restart, not a fresh deployment.
-	JournalDir string
-	// FsyncPolicy is the journal sync discipline: "always", "interval",
-	// or "never" ("" means always). Only meaningful with JournalDir.
+	// JournalDir and FsyncPolicy: see WithJournal.
+	JournalDir  string
 	FsyncPolicy string
 	// SegmentBytes overrides the journal segment rotation threshold;
 	// zero means the journal default.
 	SegmentBytes int64
-	// KeyPool, if set, supplies every principal's key pair from a shared
-	// deterministic pool instead of per-principal keygen. SIMULATION AND
-	// TEST ONLY: pool keys are shared and reproducible (crypt.NewKeyPool),
-	// which destroys all security properties but makes 10^5-member runs
-	// affordable. Production deployments must leave this nil.
+	// KeyPool: see WithTestKeyPool. Production deployments leave it nil.
 	KeyPool *crypt.KeyPool
 	// Observer, if set, receives structured protocol trace events from
 	// every component (handshake steps, rekeys, alive rounds,
@@ -137,7 +123,7 @@ type Group struct {
 	Clock clock.Clock
 	RS    *regserver.Server
 
-	cfg         Config
+	cfg         config
 	ownsNet     bool
 	rsTransport transport.Transport
 	controllers []*area.Controller
@@ -151,7 +137,7 @@ type Group struct {
 
 	// Durability (only populated when cfg.JournalDir is set).
 	acCfgs     []area.Config
-	fsync      journal.FsyncPolicy // Config.FsyncPolicy, parsed
+	fsync      journal.FsyncPolicy // WithJournal's fsync policy, parsed
 	acJournals []*journal.Journal
 	rsJournal  *journal.Journal
 	recovered  []string
@@ -181,12 +167,8 @@ func ReplicaAddr(i, r int) string {
 // RSAddr is the registration server's address.
 const RSAddr = "rs"
 
-// build constructs and starts a deployment from an assembled Config.
-// It is the single construction path behind New; the exported
-// NewFromConfig shim that used to wrap it is gone (deprecated for one
-// release by PR 5) — external callers assemble the same Config through
-// functional options.
-func build(cfg Config) (*Group, error) {
+// build constructs and starts a deployment from the config New assembled.
+func build(cfg config) (*Group, error) {
 	if cfg.NumAreas <= 0 {
 		cfg.NumAreas = 1
 	}
@@ -492,7 +474,7 @@ func (g *Group) controllerConfig(i int, directory []wire.ACInfo) area.Config {
 }
 
 // journalOptions locates and parameterizes one named component's journal
-// under Config.JournalDir.
+// under the WithJournal directory.
 func (g *Group) journalOptions(name string) journal.Options {
 	return journal.Options{
 		Dir:          filepath.Join(g.cfg.JournalDir, name),
@@ -537,7 +519,7 @@ func (g *Group) Controller(i int) *area.Controller {
 // concerned), and a fresh controller recovers from whatever the chosen
 // FsyncPolicy made durable. The restarted controller reuses the same
 // transport, so members keep talking to the same address. Requires
-// Config.JournalDir.
+// WithJournal.
 func (g *Group) RestartController(i int) error {
 	if g.cfg.JournalDir == "" {
 		return fmt.Errorf("core: RestartController requires JournalDir")
@@ -607,8 +589,9 @@ func (g *Group) Directory() []wire.ACInfo {
 // live membership migrates to a freshly spawned sibling controller, which
 // is registered with the registration server and parented under the
 // source so data keeps routing. Returns the new controller's ID and the
-// number of members actually reassigned. With Config.SplitAbove set the
-// same machinery runs automatically on the watermark crossing.
+// number of members actually reassigned. With WithAreaWatermarks'
+// splitAbove set the same machinery runs automatically on the watermark
+// crossing.
 func (g *Group) SplitArea(i int) (string, int, error) {
 	g.mu.Lock()
 	if i < 0 || i >= len(g.controllers) {
@@ -725,7 +708,7 @@ func (g *Group) splitFrom(i int, migrate []string) (string, int, error) {
 	return newID, n, nil
 }
 
-// autoSplit is the Config.SplitAbove watermark callback for controller i.
+// autoSplit is the splitAbove watermark callback for controller i.
 func (g *Group) autoSplit(i int, migrate []string) {
 	newID, n, err := g.splitFrom(i, migrate)
 	if err != nil {
@@ -740,8 +723,8 @@ func (g *Group) autoSplit(i int, migrate []string) {
 // joins land on it), the survivor prevouches the migration set, every
 // member is reassigned, and the drained controller shuts down. Its slot
 // in the controller list remains (indices stay stable) but it serves
-// nothing. With Config.MergeBelow set, an underpopulated non-root
-// controller merges into its parent automatically.
+// nothing. With WithAreaWatermarks' mergeBelow set, an underpopulated
+// non-root controller merges into its parent automatically.
 func (g *Group) MergeArea(i, into int) (int, error) {
 	g.mu.Lock()
 	if i < 0 || i >= len(g.controllers) || into < 0 || into >= len(g.controllers) || i == into {
@@ -804,7 +787,7 @@ func (g *Group) MergeArea(i, into int) (int, error) {
 	return n, nil
 }
 
-// autoMerge is the Config.MergeBelow watermark callback for controller i:
+// autoMerge is the mergeBelow watermark callback for controller i:
 // it folds the controller into its (still live) parent.
 func (g *Group) autoMerge(i int) {
 	g.mu.Lock()
@@ -846,9 +829,6 @@ type MemberConfig struct {
 	OnData func(payload []byte, origin string)
 	// AutoRejoin enables §IV-B automatic recovery.
 	AutoRejoin bool
-	// DataCipher selects the bulk data cipher (zero = AES;
-	// wire.CipherRC4 = the paper's §V-E hand-held path).
-	DataCipher wire.DataCipher
 	// Suites is the cipher-suite bitmask (1<<crypt.SuiteID) the member
 	// advertises at join/rejoin; zero means every registered suite. A
 	// controller whose area suite falls outside the mask denies the
@@ -878,7 +858,6 @@ func (g *Group) NewMember(id string, mc MemberConfig) (*member.Member, error) {
 		AuthInfo:   mc.AuthInfo,
 		OnData:     mc.OnData,
 		AutoRejoin: mc.AutoRejoin,
-		DataCipher: mc.DataCipher,
 		Suites:     mc.Suites,
 		TActive:    g.cfg.TActive,
 		TIdle:      g.cfg.TIdle,

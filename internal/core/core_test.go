@@ -9,7 +9,6 @@ import (
 
 	"mykil/internal/area"
 	"mykil/internal/member"
-	"mykil/internal/wire"
 )
 
 // fastTiming returns options with millisecond-scale protocol timers so
@@ -298,42 +297,6 @@ func TestLiveRekeyMatchesAnalysis(t *testing.T) {
 	if got := g.Controller(0).Stats().Value(area.StatRekeyEntries) - entriesBefore; got != 3 {
 		t.Errorf("live leave produced %d rekey entries, analysis predicts 3", got)
 	}
-}
-
-func TestRC4DataPathInterop(t *testing.T) {
-	// §V-E: a hand-held member using the RC4 data path exchanges
-	// multicast data with an AES member; the cipher travels per packet.
-	g, err := New(fastTiming(1)...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer g.Close()
-
-	var recvPDA, recvPC collector
-	pda, err := g.AddMember("pda", MemberConfig{
-		DataCipher: wire.CipherRC4,
-		OnData:     recvPDA.onData,
-	})
-	if err != nil {
-		t.Fatalf("AddMember pda: %v", err)
-	}
-	pc, err := g.AddMember("pc", MemberConfig{OnData: recvPC.onData})
-	if err != nil {
-		t.Fatalf("AddMember pc: %v", err)
-	}
-
-	if err := pda.Send([]byte("rc4 stream")); err != nil {
-		t.Fatalf("pda Send: %v", err)
-	}
-	waitFor(t, "AES member decrypts RC4 packet", 5*time.Second, func() bool {
-		return recvPC.has("pda:rc4 stream")
-	})
-	if err := pc.Send([]byte("aes payload")); err != nil {
-		t.Fatalf("pc Send: %v", err)
-	}
-	waitFor(t, "RC4 member decrypts AES packet", 5*time.Second, func() bool {
-		return recvPDA.has("pc:aes payload")
-	})
 }
 
 func TestJoinDeniedBadAuth(t *testing.T) {

@@ -58,12 +58,6 @@ type Config struct {
 	// AutoRejoin rejoins another directory controller after detecting
 	// disconnection (§IV-B).
 	AutoRejoin bool
-	// DataCipher selects the bulk cipher for outgoing multicast data;
-	// zero means wire.CipherAES. wire.CipherRC4 reproduces the paper's
-	// §V-E hand-held data path (confidentiality only, no payload
-	// authenticator). Incoming data is decrypted per the cipher each
-	// packet declares.
-	DataCipher wire.DataCipher
 	// Suites is the bitmask of cipher suites this member is willing to
 	// speak (1 << crypt.SuiteID), advertised during join/rejoin
 	// negotiation. Zero means every registered suite. A controller whose
@@ -99,9 +93,6 @@ func (cfg *Config) fillDefaults() error {
 	}
 	if cfg.OpTimeout == 0 {
 		cfg.OpTimeout = DefaultOpTimeout
-	}
-	if cfg.DataCipher == 0 {
-		cfg.DataCipher = wire.CipherAES
 	}
 	if cfg.Suites == 0 {
 		cfg.Suites = crypt.AllSuitesMask()
@@ -153,7 +144,8 @@ type Member struct {
 	backupPub  crypt.PublicKey
 	view       *keytree.MemberView
 	// suite is the area's negotiated cipher suite from the last welcome;
-	// it seals outgoing data keys and opens incoming ones.
+	// it seals outgoing payloads and data keys and opens incoming data
+	// keys. An incoming payload is opened by the suite its packet names.
 	suite      crypt.Suite
 	ticketBlob []byte
 	directory  []wire.ACInfo
@@ -162,6 +154,11 @@ type Member struct {
 	lastSent   time.Time
 	dataSeq    uint64
 	op         *pendingOp
+
+	// One PathRequest may be outstanding per view epoch: requestPath
+	// stays quiet for pathAskedEpoch until pathRetryAt.
+	pathAskedEpoch uint64
+	pathRetryAt    time.Time
 
 	// rejoinBlacklist tracks controllers that recently denied us, so
 	// auto-rejoin rotates through the directory.
@@ -174,9 +171,10 @@ type Member struct {
 	received int64
 	rekeys   int64
 
-	trace      *obs.Tracer
-	joinHist   *obs.Histogram
-	rejoinHist *obs.Histogram
+	cDataDropped *obs.Counter
+	trace        *obs.Tracer
+	joinHist     *obs.Histogram
+	rejoinHist   *obs.Histogram
 
 	loop *node.Loop
 }
@@ -191,6 +189,8 @@ func New(cfg Config) (*Member, error) {
 		clk:             cfg.Clock,
 		rejoinBlacklist: make(map[string]time.Time),
 	}
+	stats := obs.NewRegistry(obs.L("node", cfg.ID))
+	m.cDataDropped = stats.Counter(obs.MetricDataDropped, obs.HelpDataDropped)
 	m.trace = obs.NewTracer(cfg.ID, cfg.Clock, cfg.Observer)
 	if cfg.Metrics != nil {
 		m.joinHist = cfg.Metrics.Histogram(obs.MetricJoinSeconds, obs.HelpJoinSeconds, nil)
@@ -204,14 +204,15 @@ func New(cfg Config) (*Member, error) {
 		OnFrame:   m.handleFrame,
 		OnTick:    m.housekeeping,
 		OnExit:    func() { m.failOp(ErrStopped) },
-		Stats:     obs.NewRegistry(obs.L("node", cfg.ID)),
+		Stats:     stats,
 		Logf:      cfg.Logf,
 	})
 	return m, nil
 }
 
-// Stats exposes the member's node-loop counters (frames, commands,
-// ticks, drops), labeled with the member's ID.
+// Stats exposes the member's counters — the node loop's (frames,
+// commands, ticks, drops) and obs.MetricDataDropped — labeled with the
+// member's ID.
 func (m *Member) Stats() *obs.Registry { return m.loop.Stats() }
 
 // Start launches the member loop.
@@ -279,8 +280,8 @@ func (m *Member) Leave() error {
 	})
 }
 
-// Send multicasts a payload to the group: the payload is encrypted under
-// a fresh random key K_d, and K_d is sealed under the area key (Fig. 2).
+// Send multicasts a payload to the group: the area's suite seals the
+// payload under a fresh random key K_d and K_d under the area key (Fig. 2).
 func (m *Member) Send(payload []byte) error {
 	var sendErr error
 	err := m.call(func() {
@@ -290,27 +291,15 @@ func (m *Member) Send(payload []byte) error {
 		}
 		dataKey := crypt.NewSymKey()
 		m.dataSeq++
-		var body []byte
-		switch m.cfg.DataCipher {
-		case wire.CipherRC4:
-			body = crypt.RC4XOR(dataKey, append([]byte(nil), payload...))
-		default:
-			if s, ok := payloadSuite(m.cfg.DataCipher); ok {
-				body = s.Seal(dataKey, payload)
-			} else {
-				body = crypt.Seal(dataKey, payload)
-			}
-		}
-		d := wire.Data{
+		body, err := wire.PlainBody(wire.Data{
 			Origin:     m.cfg.ID,
 			OriginArea: m.areaID,
 			Seq:        m.dataSeq,
 			FromArea:   m.areaID,
-			Cipher:     m.cfg.DataCipher,
+			Cipher:     wire.CipherOf(m.suite.ID()),
 			EncKey:     m.suite.Seal(m.view.AreaKey(), dataKey[:]),
-			Payload:    body,
-		}
-		body, err := wire.PlainBody(d)
+			Payload:    m.suite.Seal(dataKey, payload),
+		})
 		if err != nil {
 			sendErr = err
 			return
@@ -326,21 +315,6 @@ func (m *Member) Send(payload []byte) error {
 		return err
 	}
 	return sendErr
-}
-
-// payloadSuite maps an AEAD payload-cipher selector to its crypt suite.
-// CipherAES (the legacy HMAC construction) and CipherRC4 are handled by
-// their original paths and return false.
-func payloadSuite(c wire.DataCipher) (crypt.Suite, bool) {
-	switch c {
-	case wire.CipherGCM:
-		s, err := crypt.SuiteByID(crypt.SuiteAESGCM)
-		return s, err == nil
-	case wire.CipherChaCha:
-		s, err := crypt.SuiteByID(crypt.SuiteChaCha20Poly1305)
-		return s, err == nil
-	}
-	return nil, false
 }
 
 // Connected reports whether the member is attached to an area.

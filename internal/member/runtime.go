@@ -48,7 +48,10 @@ func (m *Member) handleFrame(f *wire.Frame) {
 	}
 }
 
-// handleData decrypts one multicast payload (Fig. 2 receive side).
+// handleData decrypts one multicast payload (Fig. 2 receive side). The
+// payload is opened by the suite the packet's Cipher tag names — the
+// origin area's, which need not be ours. A packet we are positioned to
+// read but cannot is counted in MetricDataDropped.
 func (m *Member) handleData(f *wire.Frame) {
 	if !m.connected {
 		return
@@ -63,31 +66,30 @@ func (m *Member) handleData(f *wire.Frame) {
 	if d.FromArea != m.areaID {
 		return // sealed for a different area's key
 	}
+	suite, ok := d.Cipher.Suite()
+	if !ok {
+		m.cfg.Logf("%s: data from %s names unknown cipher %d", m.cfg.ID, d.Origin, d.Cipher)
+		m.cDataDropped.Inc()
+		return
+	}
 	raw, err := m.suite.Open(m.view.AreaKey(), d.EncKey)
 	if err != nil {
 		m.cfg.Logf("%s: cannot open data key (stale area key?): %v", m.cfg.ID, err)
+		m.cDataDropped.Inc()
 		m.requestPath()
 		return
 	}
 	dataKey, err := crypt.SymKeyFromBytes(raw)
 	if err != nil {
+		m.cDataDropped.Inc()
 		return
 	}
-	var payload []byte
-	switch d.Cipher {
-	case wire.CipherRC4:
-		// RC4XOR works in place and d.Payload is a window onto the
-		// delivery buffer every receiver of this multicast shares: copy.
-		payload = crypt.RC4XOR(dataKey, append([]byte(nil), d.Payload...))
-	default:
-		if s, ok := payloadSuite(d.Cipher); ok {
-			payload, err = s.Open(dataKey, d.Payload)
-		} else {
-			payload, err = crypt.Open(dataKey, d.Payload)
-		}
-		if err != nil {
-			return
-		}
+	// d.Payload is a window onto the delivery buffer every receiver of
+	// this multicast shares; Open writes fresh output.
+	payload, err := suite.Open(dataKey, d.Payload)
+	if err != nil {
+		m.cDataDropped.Inc()
+		return
 	}
 	m.received++
 	if m.cfg.OnData != nil {
@@ -264,14 +266,22 @@ func (m *Member) handleACAlive(f *wire.Frame) {
 	}
 }
 
-// requestPath asks the controller to resend our path keys.
+// requestPath asks the controller to resend our path keys. Each answer
+// costs the controller an RSA seal and a signature, so one missed rekey
+// earns one request however many frames reveal it: a request for the same
+// epoch is repeated only after TIdle without a PathUpdate.
 func (m *Member) requestPath() {
 	if !m.connected {
 		return
 	}
+	now, epoch := m.clk.Now(), m.view.Epoch()
+	if epoch == m.pathAskedEpoch && now.Before(m.pathRetryAt) {
+		return
+	}
+	m.pathAskedEpoch, m.pathRetryAt = epoch, now.Add(m.cfg.TIdle)
 	m.sendPlain(m.acAddr, wire.KindPathRequest, wire.PathRequest{
 		MemberID: m.cfg.ID,
-		Epoch:    m.view.Epoch(),
+		Epoch:    epoch,
 	})
 }
 

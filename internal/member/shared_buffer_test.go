@@ -9,17 +9,27 @@ import (
 
 	"mykil/internal/crypt"
 	"mykil/internal/keytree"
+	"mykil/internal/obs"
 	"mykil/internal/simnet"
 	"mykil/internal/transport"
 	"mykil/internal/wire"
 )
 
+// attachDirect leaves an unstarted member attached to area-x under the
+// controller at "ac", as a welcome would, without the handshake.
+func attachDirect(m *Member, acPub crypt.PublicKey, path []keytree.PathKey, epoch uint64, suite crypt.Suite) {
+	m.connected, m.areaID, m.acID, m.acAddr, m.acPub = true, "area-x", "ac", "ac", acPub
+	m.view, m.suite = keytree.NewMemberView(path, epoch, keytree.NewSuiteEncryptor(suite)), suite
+	m.lastACRecv, m.lastSent = m.clk.Now(), m.clk.Now()
+}
+
 // TestMembersShareDeliveredBufferReadOnly runs 32 real members, each on
 // its own loop goroutine, against one delivery buffer per multicast: a
-// signed leave rekey and then one AES and one RC4 data packet are each
-// sent as a single *wire.Frame to every member, so every handler
-// verifies, decodes and applies out of the same backing array at the
-// same time. The members must all follow the rekey and decrypt the data,
+// signed leave rekey, then one data packet per registered suite and two
+// with cipher tags no suite owns, are each sent as a single *wire.Frame
+// to every member, so every handler verifies, decodes and applies out of
+// the same backing array at the same time. The members must all follow
+// the rekey, decrypt the suites' packets, drop and count the other two,
 // and a SHA-256 of each shared encoding must be unchanged afterwards.
 // Under -race the detector additionally flags any handler that writes
 // into the buffer its neighbours are reading.
@@ -68,14 +78,11 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Attach the member as a welcome would, without the handshake.
 		pk, err := tree.PathKeys(ids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.connected, m.areaID, m.acID, m.acAddr, m.acPub = true, "area-x", "ac", "ac", acKeys.Public()
-		m.view, m.suite = keytree.NewMemberView(pk, tree.Epoch(), enc), suite
-		m.lastACRecv, m.lastSent = m.clk.Now(), m.clk.Now()
+		attachDirect(m, acKeys.Public(), pk, tree.Epoch(), suite)
 		m.Start()
 		defer func() { m.Close(); _ = tr.Close() }()
 		members[i] = m
@@ -132,22 +139,49 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 		}
 	}
 
+	// One data packet per registered suite — every Open a member can be
+	// asked to run on a borrowed payload — then one tagged with the retired
+	// value 2 and one with a tag no suite owns, carrying the plaintext a
+	// pass-through would deliver.
 	dataKey := crypt.NewSymKey()
 	encKey := suite.Seal(tree.AreaKey(), dataKey[:])
-	aes, aesSum := multicast(wire.KindData, wire.Data{
-		Origin: "peer", OriginArea: "area-x", Seq: 1, FromArea: "area-x",
-		Cipher: wire.CipherAES, EncKey: encKey, Payload: crypt.Seal(dataKey, []byte("shared payload")),
-	}, false)
-	rc4, rc4Sum := multicast(wire.KindData, wire.Data{
-		Origin: "peer", OriginArea: "area-x", Seq: 2, FromArea: "area-x",
-		Cipher: wire.CipherRC4, EncKey: encKey, Payload: crypt.RC4XOR(dataKey, []byte("shared payload")),
-	}, false)
-	waitFor("every member to decrypt both packets", func() bool { return delivered.Load() == 2*residents })
-
-	for name, c := range map[string]struct {
+	type sharedBuf struct {
 		buf []byte
 		sum [sha256.Size]byte
-	}{"KeyUpdate": {rekey, rekeySum}, "Data/AES": {aes, aesSum}, "Data/RC4": {rc4, rc4Sum}} {
+	}
+	shared := map[string]sharedBuf{"KeyUpdate": {rekey, rekeySum}}
+	seq := uint64(0)
+	data := func(name string, tag wire.DataCipher, payload []byte) {
+		seq++
+		buf, sum := multicast(wire.KindData, wire.Data{
+			Origin: "peer", OriginArea: "area-x", Seq: seq, FromArea: "area-x",
+			Cipher: tag, EncKey: encKey, Payload: payload,
+		}, false)
+		shared["Data/"+name] = sharedBuf{buf, sum}
+	}
+	for _, s := range crypt.Suites() {
+		data(s.Name(), wire.CipherOf(s.ID()), s.Seal(dataKey, []byte("shared payload")))
+	}
+	data("retired tag 2", 2, []byte("shared payload"))
+	data("unregistered tag", 200, []byte("shared payload"))
+
+	dropped := func() (n int64) {
+		for _, m := range members {
+			n += m.Stats().Value(obs.MetricDataDropped)
+		}
+		return n
+	}
+	opened := int64(len(crypt.Suites()) * residents)
+	waitFor("every member to open or drop every packet", func() bool {
+		return delivered.Load() >= opened && dropped() >= 2*residents
+	})
+	if got := delivered.Load(); got != opened {
+		t.Errorf("%d payloads reached OnData, want %d: a packet with an unknown cipher tag was delivered", got, opened)
+	}
+	if got := dropped(); got != 2*residents {
+		t.Errorf("%s = %d, want %d (two unknown tags per member)", obs.MetricDataDropped, got, 2*residents)
+	}
+	for name, c := range shared {
 		if sha256.Sum256(c.buf) != c.sum {
 			t.Errorf("%s: a receiver wrote into the shared delivery buffer", name)
 		}

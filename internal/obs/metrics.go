@@ -514,6 +514,7 @@ const (
 	MetricElections     = "mykil_elections_total"
 	MetricAreaSplits    = "mykil_area_splits_total"
 	MetricReplBytes     = "mykil_replication_bytes_total"
+	MetricDataDropped   = "mykil_member_data_dropped_total"
 
 	HelpJoinSeconds   = "Latency of the full 7-step member join handshake."
 	HelpRejoinSeconds = "Latency of the 6-step ticket rejoin handshake."
@@ -521,4 +522,5 @@ const (
 	HelpElections     = "Quorum leader elections won across all replica sets."
 	HelpAreaSplits    = "Dynamic area topology changes (splits and merges)."
 	HelpReplBytes     = "Payload bytes shipped to replicas (snapshot or segment sync)."
+	HelpDataDropped   = "Data packets for the member's area it could not read: unknown cipher tag, data key that will not open, payload failing authentication."
 )

@@ -142,6 +142,39 @@ func TestVirtualModeDeliversUnderFakeAdvance(t *testing.T) {
 	}
 }
 
+// advanceInAfter is a fake clock on which time moves forward by the first
+// After call's own duration just before that timer is armed — the
+// interleaving a clock pump produces when it advances to NextDue while a
+// lane sits between reading the clock and arming its wait.
+type advanceInAfter struct {
+	*clock.Fake
+	once sync.Once
+}
+
+func (c *advanceInAfter) After(d time.Duration) <-chan time.Time {
+	c.once.Do(func() { c.Fake.Advance(d) })
+	return c.Fake.After(d)
+}
+
+// TestVirtualModeDeliversWhenClockMovesWhileArming: a message whose
+// deadline the clock reaches while its lane is arming the wait must still
+// be delivered without any further advance. A pump that moves the clock
+// only up to NextDue (E14, benchmark/w_virtual.go) otherwise spins on a
+// due message for ever.
+func TestVirtualModeDeliversWhenClockMovesWhileArming(t *testing.T) {
+	clk := &advanceInAfter{Fake: clock.NewFake(simEpoch)}
+	n := New(Config{DefaultLatency: time.Millisecond, Clock: clk, Virtual: true})
+	defer n.Close()
+	a := n.MustEndpoint("a")
+	b := n.MustEndpoint("b")
+	if err := a.Send("b", []byte("due")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if got := string(recv(t, b).Payload); got != "due" {
+		t.Errorf("payload = %q", got)
+	}
+}
+
 // TestVirtualModeTimestampOrderAcrossLinks pins the deterministic global
 // order: messages from different senders interleave strictly by delivery
 // timestamp, ties broken by send order.

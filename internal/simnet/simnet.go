@@ -579,8 +579,14 @@ func (s *shard) run() {
 		}
 
 		if wait := due.Sub(s.net.clk.Now()); wait > 0 {
+			timer := s.net.clk.After(wait)
+			if !s.net.clk.Now().Before(due) {
+				// The clock reached due while the timer was being armed, so it
+				// fires late: a driver advancing only to NextDue never gets there.
+				continue
+			}
 			select {
-			case <-s.net.clk.After(wait):
+			case <-timer:
 			case <-s.wake:
 			case <-s.net.stopped:
 				return

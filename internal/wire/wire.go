@@ -447,28 +447,53 @@ type RejoinDenied struct {
 
 // ---- Data and key management (§III) ----
 
-// DataCipher selects the bulk cipher protecting a Data payload.
+// DataCipher is the Data.Cipher tag: it names the cipher suite that sealed
+// the payload, which is the suite of the area the origin sent from. It is
+// not a choice a sender makes.
 type DataCipher uint8
 
 const (
-	// CipherAES is authenticated AES-CTR+HMAC (crypt.Seal), the default.
+	// CipherAES tags the legacy suite: AES-CTR + HMAC-SHA256 (crypt.Seal).
 	CipherAES DataCipher = iota + 1
-	// CipherRC4 is the paper's §V-E hand-held data path: RC4 keystream,
-	// no per-payload authenticator. Confidentiality-only, kept for
-	// fidelity with the prototype's PDA experiments.
-	CipherRC4
-	// CipherGCM protects the payload with the aes-gcm cipher suite
-	// (crypt.SuiteAESGCM sealed blob).
+	// Value 2 tagged an unauthenticated RC4 payload; it is retired and
+	// stays unassigned so no other tag moves.
+	_
+	// CipherGCM tags the aes-gcm suite.
 	CipherGCM
-	// CipherChaCha protects the payload with the chacha20-poly1305
-	// cipher suite (crypt.SuiteChaCha20Poly1305 sealed blob).
+	// CipherChaCha tags the chacha20-poly1305 suite.
 	CipherChaCha
 )
 
-// Data is one multicast data packet: payload encrypted under a random key
-// K_d, and K_d sealed under the area key of the area it is traversing. An
-// AC crossing an area boundary re-seals only EncKey (Iolus-style, Fig. 2),
-// so the cipher choice is end-to-end between members.
+// CipherOf returns the tag naming suite id: CipherAES for legacy, and two
+// above its ID for every suite after it (CipherGCM, CipherChaCha, and
+// whatever crypt registers next). It is the only place the two numberings
+// meet; Suite is its inverse.
+func CipherOf(id crypt.SuiteID) DataCipher {
+	if id == crypt.SuiteLegacy {
+		return CipherAES
+	}
+	return DataCipher(id) + 2
+}
+
+// Suite resolves a received tag to the registered suite it names; false
+// for the zero tag, the retired value and anything unregistered.
+func (c DataCipher) Suite() (crypt.Suite, bool) {
+	for id := crypt.SuiteID(0); ; id++ {
+		s, err := crypt.SuiteByID(id)
+		if err != nil {
+			return nil, false
+		}
+		if CipherOf(id) == c {
+			return s, true
+		}
+	}
+}
+
+// Data is one multicast data packet: payload sealed under a random key
+// K_d by the origin area's suite, and K_d sealed under the area key of the
+// area it is traversing. An AC crossing an area boundary re-seals only
+// EncKey (Iolus-style, Fig. 2); Cipher and Payload travel unchanged from
+// origin to every receiver.
 type Data struct {
 	Origin     string // originating member
 	OriginArea string
@@ -476,7 +501,7 @@ type Data struct {
 	FromArea   string // area the frame is currently traversing
 	Cipher     DataCipher
 	EncKey     []byte // Seal(areaKey, K_d)
-	Payload    []byte // Cipher(K_d, data)
+	Payload    []byte // Cipher's suite: Seal(K_d, data)
 }
 
 // KeyUpdate is the multicast rekey message. The frame carrying it is

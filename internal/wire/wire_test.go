@@ -400,3 +400,34 @@ func TestTimestampSurvivesGob(t *testing.T) {
 		t.Errorf("timestamp %v, want %v", got.Timestamp, now)
 	}
 }
+
+// TestCipherTagsCoverEveryRegisteredSuite pins the Data.Cipher numbering:
+// every registered suite owns one distinct tag that resolves back to it
+// (so a suite added to crypt without a tag fails here, not in a member),
+// the deployed values do not move, and nothing else resolves — in
+// particular the retired value 2.
+func TestCipherTagsCoverEveryRegisteredSuite(t *testing.T) {
+	if CipherAES != 1 || CipherGCM != 3 || CipherChaCha != 4 {
+		t.Fatalf("tags moved: aes=%d gcm=%d chacha=%d, want 1/3/4", CipherAES, CipherGCM, CipherChaCha)
+	}
+	if CipherOf(crypt.SuiteLegacy) != CipherAES || CipherOf(crypt.SuiteAESGCM) != CipherGCM ||
+		CipherOf(crypt.SuiteChaCha20Poly1305) != CipherChaCha {
+		t.Fatal("a suite's tag is no longer the constant named after it")
+	}
+	owner := map[DataCipher]string{}
+	for _, s := range crypt.Suites() {
+		tag := CipherOf(s.ID())
+		if tag == 0 || owner[tag] != "" {
+			t.Fatalf("suite %s has tag %d (zero, or shared with %q)", s.Name(), tag, owner[tag])
+		}
+		owner[tag] = s.Name()
+		if got, ok := tag.Suite(); !ok || got.ID() != s.ID() {
+			t.Errorf("tag %d of suite %s resolves to %v, %v", tag, s.Name(), got, ok)
+		}
+	}
+	for c := 0; c < 256; c++ {
+		if s, ok := DataCipher(c).Suite(); ok && owner[DataCipher(c)] == "" {
+			t.Errorf("tag %d resolves to %s but no registered suite owns it", c, s.Name())
+		}
+	}
+}
