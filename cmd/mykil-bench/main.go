@@ -10,9 +10,11 @@
 //	mykil-bench -exp joinlat -rsabits 2048 -latency 2ms -iters 5
 //
 // Experiments: storage cpu fig8 fig9 fig10 joinlat protocost rc4 batching
-// arity prune flush model fanout journal groupcommit election megasim all
-// (megasim only runs when named). An unknown name exits 2 with the list.
-// Add -csv for machine-readable output.
+// arity prune flush model fanout journal groupcommit all. An unknown name
+// exits 2 with the list. Add -csv for machine-readable output.
+//
+// Whole-deployment measurements (join storms at scale, controller
+// failover) live in benchmark/: bash benchmark/run.sh --workload W.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 
 func run() int {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: storage|cpu|fig8|fig9|fig10|joinlat|protocost|rc4|batching|arity|prune|flush|model|fanout|journal|groupcommit|election|megasim|all (megasim only runs when named)")
+		exp     = flag.String("exp", "all", "experiment to run: storage|cpu|fig8|fig9|fig10|joinlat|protocost|rc4|batching|arity|prune|flush|model|fanout|journal|groupcommit|all")
 		n       = flag.Int("n", bench.PaperGroupSize, "group size")
 		arity   = flag.Int("arity", bench.PaperArity, "auxiliary-key-tree arity (paper's byte arithmetic: 2)")
 		rsaBits = flag.Int("rsabits", 2048, "RSA modulus bits for the latency experiment")
@@ -40,16 +42,6 @@ func run() int {
 		iters   = flag.Int("iters", 5, "iterations for the latency experiment")
 		rc4MB   = flag.Int("rc4mb", 16, "buffer size (MB) for the RC4 experiment")
 		csv     = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-
-		// Mega-sim (-exp megasim only; excluded from "all").
-		msAreas  = flag.Int("msareas", 0, "megasim: area count (0 = n/5000)")
-		msShards = flag.Int("msshards", 0, "megasim: simnet delivery lanes (0 = auto)")
-		msBits   = flag.Int("msbits", 512, "megasim: shared-keypool RSA bits")
-		msPool   = flag.Int("mspool", 32, "megasim: distinct shared key pairs")
-		msDet    = flag.Bool("msdet", false, "megasim: deterministic single-lane virtual scheduler")
-		msJoin   = flag.Int("msjoiners", 0, "megasim: concurrent joining workers (0 = n/200, clamped)")
-		msSeed   = flag.Int64("msseed", 1, "megasim: key pool / jitter RNG seed")
-		msQuiet  = flag.Bool("msquiet", false, "megasim: suppress progress lines")
 	)
 	flag.Parse()
 
@@ -62,7 +54,7 @@ func run() int {
 	}
 
 	ok := true
-	known := []string{"all", "megasim"}
+	known := []string{"all"}
 	runExp := func(name string, fn func() error) {
 		known = append(known, name)
 		if *exp != "all" && *exp != name {
@@ -250,16 +242,6 @@ func run() int {
 		return nil
 	})
 
-	runExp("election", func() error {
-		r, err := bench.ElectionFailover(bench.ElectionConfig{})
-		if err != nil {
-			return err
-		}
-		printTable(r.Table())
-		verdict(r.GuaranteesHold(), "replicas caught up before every kill; one winner at the primary's epoch and member set; zero rejoins")
-		return nil
-	})
-
 	runExp("prune", func() error {
 		r, err := bench.AblationPrune(bench.PaperAreaSize, 1000, *arity)
 		if err != nil {
@@ -269,39 +251,6 @@ func run() int {
 		verdict(r.NoPruneCheaperJoins(), "no-prune joins avoid splits")
 		return nil
 	})
-
-	// The mega-sim runs only when asked for by name: at its default
-	// 100k-member scale it is a minutes-long measurement run, not part
-	// of the "all" regression sweep.
-	if *exp == "megasim" {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "megasim: "+format+"\n", args...)
-		}
-		if *msQuiet {
-			logf = nil
-		}
-		r, err := bench.MegaSim(bench.MegaSimConfig{
-			Members:       *n,
-			Areas:         *msAreas,
-			Shards:        *msShards,
-			RSABits:       *msBits,
-			PoolSize:      *msPool,
-			Arity:         4,
-			Joiners:       *msJoin,
-			Deterministic: *msDet,
-			Seed:          *msSeed,
-			Logf:          logf,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment megasim failed: %v\n", err)
-			ok = false
-		} else {
-			for _, t := range r.Tables() {
-				printTable(t)
-			}
-			verdict(r.ShapeHolds(), "measured structures, alive load, and fan-out match the §V model")
-		}
-	}
 
 	if !slices.Contains(known, *exp) {
 		slices.Sort(known)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mykil-vet [-checks keyleak,journalorder] [-json] [pattern ...]
+//	mykil-vet [-checks keyflow,journalorder] [-json] [pattern ...]
 //	mykil-vet -list
 //
 // Patterns follow the go tool's shape: a directory loads one package, a

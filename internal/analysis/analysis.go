@@ -7,8 +7,7 @@
 // The checks encode invariants the compiler cannot see but the paper's
 // guarantees depend on:
 //
-//	keyleak         key material must not reach logs or error strings (§III)
-//	keyflow         interprocedural upgrade: derived copies of key material (§III)
+//	keyflow         key material and copies of it must not reach logs or error strings (§III)
 //	clockdiscipline timers must go through the injected clock.Clock (§IV)
 //	wireexhaustive  every wire.Kind is registered, pinned, and dispatched
 //	journalorder    mutate → journal → send ordering (§IV crash recovery)

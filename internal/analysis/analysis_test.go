@@ -179,15 +179,15 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lookup(\"\"): %v", err)
 	}
-	if len(all) != 10 {
-		t.Fatalf("Lookup(\"\") returned %d checks, want 10", len(all))
+	if len(all) != 9 {
+		t.Fatalf("Lookup(\"\") returned %d checks, want 9", len(all))
 	}
-	two, err := analysis.Lookup("keyleak, clockdiscipline")
+	two, err := analysis.Lookup("keyflow, clockdiscipline")
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
-	if len(two) != 2 || two[0].Name != "clockdiscipline" || two[1].Name != "keyleak" {
-		t.Fatalf("Lookup returned %v, want [clockdiscipline keyleak]", checkNames(two))
+	if len(two) != 2 || two[0].Name != "clockdiscipline" || two[1].Name != "keyflow" {
+		t.Fatalf("Lookup returned %v, want [clockdiscipline keyflow]", checkNames(two))
 	}
 	if _, err := analysis.Lookup("bogus"); err == nil {
 		t.Fatal("Lookup(\"bogus\") did not fail")

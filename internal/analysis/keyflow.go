@@ -6,17 +6,17 @@ import (
 	"go/types"
 )
 
-// keyflow upgrades keyleak from call-site-only to interprocedural: it
-// taints values *derived* from key material — a key copied into a plain
-// []byte, converted to string, sliced, appended, concatenated, or passed
-// through one level of calls — and reports when a derived value reaches
-// the same logging/error sinks keyleak guards. keyleak sees `log(key)`;
-// keyflow sees `k := string(key[:]); log(k)` and `logBuf(key[:])` where
-// logBuf prints its argument.
+// keyflow finds key material reaching a logging or error-string sink
+// (keymaterial.go defines both). The zero-step case is a bearer written
+// straight into the sink call — `log(key)`. Beyond it the check taints
+// values *derived* from key material — a key copied into a plain []byte,
+// converted to string, sliced, appended, concatenated, or passed through
+// one level of calls — so it also sees `k := string(key[:]); log(k)` and
+// `logBuf(key[:])` where logBuf prints its argument.
 //
 // Mechanics: a flow-insensitive-across-branches, source-order walk per
-// function keeps a taint map from objects to origins. Sources are
-// keyleak's bearers (secret crypt types, Key/Seed/KShared/Nonce names);
+// function keeps a taint map from objects to origins. Sources are the
+// bearers (secret crypt types, Key/Seed/KShared/Nonce names);
 // assignment, conversion, slicing, indexing, append, copy, and string
 // concatenation propagate; len/cap and non-bytes results kill. Each
 // function also gets a call summary — which byte-like parameters reach a
@@ -25,17 +25,18 @@ import (
 // at reporting time (summaries themselves are purely intraprocedural,
 // so their content cannot depend on computation order).
 //
-// Known holes, accepted for precision: struct-field stores, closures,
-// channel transport, and chains deeper than one call are not tracked.
-// Diagnostics keyleak already reports (a direct bearer at a sink) are
-// skipped here, so the two checks never double-fire on one expression.
+// Known holes, accepted for precision: struct-field stores, channel
+// transport, and chains deeper than one call are not tracked. A function
+// literal is walked as its own timeline: bearers and values derived
+// inside it are seen, taint on a captured variable is not.
 
 func init() {
 	Register(&Check{
 		Name: "keyflow",
-		Doc: "values derived from key material (copies, conversions, slices, one call\n" +
-			"level of returns and parameters) must not reach logging or error sinks;\n" +
-			"catches the leaks keyleak's direct-bearer scan cannot see (§III secrecy)",
+		Doc: "key material (crypt.SymKey/KeyPair values, fields named Key/Seed/KShared/Nonce)\n" +
+			"and values derived from it (copies, conversions, slices, one call level of\n" +
+			"returns and parameters) must not reach fmt print functions, the log package,\n" +
+			"errors.New, or Logf callees — logs outlive the rekey epoch (§III join secrecy)",
 		Run: runKeyFlow,
 	})
 }
@@ -46,12 +47,17 @@ func runKeyFlow(p *Pass) {
 		return
 	}
 	sums := prog.taintSummaries()
-	for _, pf := range prog.funcsIn(p.Path) {
-		fd, ok := pf.decl.(*ast.FuncDecl)
-		if !ok {
-			continue // literals: separate timelines, out of scope
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					computeTaint(p, prog, d.Type.Params, d.Body, sums, p.Reportf)
+				}
+			case *ast.GenDecl: // package-level initializers
+				newTaintWalker(p, prog, sums, p.Reportf).checkCalls(d)
+			}
 		}
-		computeTaint(p, prog, fd, sums, p.Reportf)
 	}
 }
 
@@ -67,7 +73,7 @@ func (prog *Program) taintSummaries() map[string]*taintSummary {
 		if !ok {
 			continue
 		}
-		prog.taint[key] = computeTaint(&Pass{Package: pf.pkg}, prog, fd, nil, nil)
+		prog.taint[key] = computeTaint(&Pass{Package: pf.pkg}, prog, fd.Type.Params, fd.Body, nil, nil)
 	}
 	return prog.taint
 }
@@ -97,11 +103,8 @@ type taintWalker struct {
 	rep  func(pos token.Pos, format string, args ...any) // nil when summarizing
 }
 
-// computeTaint walks one declaration. With sums/rep nil it only builds
-// the summary; with both set it also consults callee summaries and
-// reports derived leaks.
-func computeTaint(p *Pass, prog *Program, fd *ast.FuncDecl, sums map[string]*taintSummary, rep func(token.Pos, string, ...any)) *taintSummary {
-	tw := &taintWalker{
+func newTaintWalker(p *Pass, prog *Program, sums map[string]*taintSummary, rep func(token.Pos, string, ...any)) *taintWalker {
+	return &taintWalker{
 		p:    p,
 		prog: prog,
 		sums: sums,
@@ -112,9 +115,16 @@ func computeTaint(p *Pass, prog *Program, fd *ast.FuncDecl, sums map[string]*tai
 		},
 		rep: rep,
 	}
+}
+
+// computeTaint walks one function body. With sums/rep nil it only builds
+// the summary; with both set it also consults callee summaries and
+// reports leaks.
+func computeTaint(p *Pass, prog *Program, params *ast.FieldList, body *ast.BlockStmt, sums map[string]*taintSummary, rep func(token.Pos, string, ...any)) *taintSummary {
+	tw := newTaintWalker(p, prog, sums, rep)
 	idx := 0
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
+	if params != nil {
+		for _, field := range params.List {
 			if len(field.Names) == 0 {
 				idx++
 				continue
@@ -127,7 +137,7 @@ func computeTaint(p *Pass, prog *Program, fd *ast.FuncDecl, sums map[string]*tai
 			}
 		}
 	}
-	tw.stmts(fd.Body.List)
+	tw.stmts(body.List)
 	return tw.sum
 }
 
@@ -256,8 +266,8 @@ func (tw *taintWalker) valueSpec(vs *ast.ValueSpec) {
 
 // setLHS applies one assignment target: taint on a tainted source,
 // untaint on a clean strong update. Only plain identifiers are tracked,
-// and only values whose type can actually hold the bytes (keyleak's
-// bytesLike rule) ever carry taint — an integer fingerprint or a length
+// and only values whose type can actually hold the bytes (the bytesLike
+// rule) ever carry taint — an integer fingerprint or a length
 // derived from a key is the recommended remedy, not a leak.
 func (tw *taintWalker) setLHS(l ast.Expr, o taintOrigin, tainted, strong bool) {
 	id, isID := l.(*ast.Ident)
@@ -320,7 +330,10 @@ func (tw *taintWalker) checkCalls(n ast.Node) {
 		return
 	}
 	ast.Inspect(n, func(node ast.Node) bool {
-		if _, ok := node.(*ast.FuncLit); ok {
+		if lit, ok := node.(*ast.FuncLit); ok {
+			if tw.rep != nil { // a literal has no symbol, so no summary to build
+				computeTaint(tw.p, tw.prog, lit.Type.Params, lit.Body, tw.sums, tw.rep)
+			}
 			return false
 		}
 		if call, ok := node.(*ast.CallExpr); ok {
@@ -330,14 +343,17 @@ func (tw *taintWalker) checkCalls(n ast.Node) {
 	})
 }
 
-// checkCall reports derived taint reaching a direct sink, records
-// parameter-colored taint on the summary, and applies callee summaries
-// one level deep.
+// checkCall reports a bearer or derived taint reaching a direct sink,
+// records parameter-colored taint on the summary, and applies callee
+// summaries one level deep.
 func (tw *taintWalker) checkCall(call *ast.CallExpr) {
 	if sink := leakSink(tw.p, call); sink != "" {
 		for _, arg := range call.Args {
-			if b, _ := keyBearer(tw.p, arg); b != nil {
-				continue // keyleak's diagnostic, not ours
+			if b, name := keyBearer(tw.p, arg); b != nil {
+				if tw.rep != nil {
+					tw.rep(b.Pos(), "%s carries key material into %s; log a length or fingerprint instead (§III join/rejoin secrecy)", name, sink)
+				}
+				continue
 			}
 			o, ok := tw.derivedTaint(arg)
 			if !ok {
@@ -388,8 +404,8 @@ func (tw *taintWalker) checkCall(call *ast.CallExpr) {
 	}
 }
 
-// exprTaint reports whether e carries key material: a direct bearer
-// (keyleak's definition) or a derived value from the taint map.
+// exprTaint reports whether e carries key material: a direct bearer or
+// a derived value from the taint map.
 func (tw *taintWalker) exprTaint(e ast.Expr) (taintOrigin, bool) {
 	if b, name := keyBearer(tw.p, e); b != nil {
 		return taintOrigin{desc: name, pos: b.Pos(), param: -1}, true

@@ -7,7 +7,9 @@ import (
 	"strings"
 )
 
-// keyleak finds key material flowing into logging and error-string sinks.
+// What keyflow (keyflow.go) treats as key material and as a sink; the
+// obsdiscipline check shares the same definition of a bearer.
+//
 // The paper's join and rejoin secrecy (§III) collapses if an area key, an
 // auxiliary-tree key, a rekey seed, or K_shared ever reaches a log line
 // or an error message: logs outlive the rekey epoch and travel to places
@@ -35,37 +37,6 @@ var fmtSinks = map[string]bool{
 	"Sprint": true, "Sprintf": true, "Sprintln": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 	"Errorf": true, "Appendf": true, "Append": true, "Appendln": true,
-}
-
-func init() {
-	Register(&Check{
-		Name: "keyleak",
-		Doc: "key material (crypt.SymKey/KeyPair values, fields named Key/Seed/KShared/Nonce)\n" +
-			"must not flow into fmt print functions, the log package, errors.New, or Logf\n" +
-			"callees — logs and error strings outlive the rekey epoch (§III join secrecy)",
-		Run: runKeyLeak,
-	})
-}
-
-func runKeyLeak(p *Pass) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sink := leakSink(p, call)
-			if sink == "" {
-				return true
-			}
-			for _, arg := range call.Args {
-				if expr, name := keyBearer(p, arg); expr != nil {
-					p.Reportf(expr.Pos(), "%s carries key material into %s; log a length or fingerprint instead (§III join/rejoin secrecy)", name, sink)
-				}
-			}
-			return true
-		})
-	}
 }
 
 // leakSink classifies a call as a logging/error sink, returning a

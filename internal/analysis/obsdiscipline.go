@@ -13,7 +13,7 @@ import (
 // the clock-driven ones around it. Second, trace attributes must carry
 // key *identifiers* — IDs, epochs, LSNs — never key material: trace
 // files outlive the rekey epoch and travel further than logs (§III join
-// secrecy, same rationale as keyleak, but the sink here is the obs
+// secrecy, same rationale as keyflow, but the sink here is the obs
 // package rather than fmt/log).
 //
 // A call is "into obs" when its callee is a function or method declared

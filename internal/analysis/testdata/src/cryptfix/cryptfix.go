@@ -1,6 +1,6 @@
-// Package crypt exercises keyleak's type-based rule: values of the secret
-// crypt types are flagged regardless of variable name, while PublicKey is
-// public by definition.
+// Package crypt exercises keyflow's zero-step, type-based rule: values of
+// the secret crypt types are flagged regardless of variable name, while
+// PublicKey is public by definition.
 package crypt
 
 import (

@@ -2,8 +2,8 @@
 // material copied, converted, appended, or passed through one call level
 // (parameters into printing helpers, returns out of exporters) is still
 // caught at the sink, while lengths, fingerprints, and cleanly
-// reassigned buffers stay silent. Direct bearers at sinks belong to
-// keyleak and are not re-reported here.
+// reassigned buffers stay silent. Direct bearers at sinks are keyleakfix's
+// and cryptfix's cases.
 package keyflowfix
 
 import (

@@ -1,6 +1,6 @@
-// Package keyleakfix exercises keyleak's name-based rule: bytes-like
-// values named Key/Seed/KShared/Nonce must not reach logging sinks, while
-// lengths and unrelated integers stay allowed.
+// Package keyleakfix exercises keyflow's zero-step, name-based rule:
+// bytes-like values named Key/Seed/KShared/Nonce must not reach logging
+// sinks, while lengths and unrelated integers stay allowed.
 package keyleakfix
 
 import (
@@ -37,6 +37,21 @@ func (logger) Logf(format string, args ...any) {}
 func LeakViaLogf(l logger, rekeySeed []byte) {
 	l.Logf("seed %x", rekeySeed) // want "rekeySeed carries key material into Logf"
 }
+
+// LeakInClosure logs from a function literal, where most of the repo's
+// Logf calls live (loop callbacks).
+func LeakInClosure(l logger, rekeySeed []byte) func() {
+	return func() {
+		l.Logf("seed %x", rekeySeed) // want "rekeySeed carries key material into Logf"
+		buf := append([]byte(nil), rekeySeed...)
+		fmt.Printf("%x\n", buf) // want "buf carries key material copied from rekeySeed into fmt.Printf"
+	}
+}
+
+var bootSeed = []byte("not so secret")
+
+// A package-level initializer is a sink site too.
+var bootBanner = fmt.Sprintf("seed %x", bootSeed) // want "bootSeed carries key material into fmt.Sprintf"
 
 // Allowed logs lengths, fingerprint-ish metadata, and non-bytes values
 // whose names merely contain Key: no diagnostics.

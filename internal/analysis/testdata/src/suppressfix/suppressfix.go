@@ -26,6 +26,6 @@ func Unsuppressed() time.Time {
 // the violation still surfaces — and the directive itself, having
 // suppressed nothing, is reported as unused.
 func WrongCheck() time.Time {
-	//lint:ignore keyleak wrong check name for this site // want "suppresses nothing"
+	//lint:ignore keyflow wrong check name for this site // want "suppresses nothing"
 	return time.Now() // want "direct time.Now"
 }

@@ -36,10 +36,8 @@ const DefaultRSABits = 1024
 // fill it.
 type config struct {
 	// NumAreas is the number of areas (and controllers). Controllers
-	// form a tree: controller i's parent is controller (i-1)/AreaFanout.
+	// form a binary tree: controller i's parent is controller (i-1)/2.
 	NumAreas int
-	// AreaFanout shapes the controller tree; 0 means 2.
-	AreaFanout int
 	// RSABits sets every principal's key size; 0 means DefaultRSABits.
 	RSABits int
 	// Batching enables §III-E aggregation at every controller.
@@ -172,9 +170,6 @@ func build(cfg config) (*Group, error) {
 	if cfg.NumAreas <= 0 {
 		cfg.NumAreas = 1
 	}
-	if cfg.AreaFanout <= 0 {
-		cfg.AreaFanout = 2
-	}
 	if cfg.RSABits == 0 {
 		cfg.RSABits = DefaultRSABits
 	}
@@ -291,7 +286,8 @@ func build(cfg config) (*Group, error) {
 		acCfg.Transport = acTrs[i]
 		acCfg.Keys = ctrlKeys[i]
 		if i > 0 {
-			parentIdx := (i - 1) / cfg.AreaFanout
+			const areaFanout = 2 // children per controller in the area tree
+			parentIdx := (i - 1) / areaFanout
 			acCfg.Parent = &area.PeerInfo{
 				ID:   ACID(parentIdx),
 				Addr: acTrs[parentIdx].Addr(),

@@ -41,6 +41,22 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
+// waitLeft blocks until controller acID no longer lists the member. A
+// LeaveNotice and the next rejoin's verify request travel on different
+// links; a verify that overtakes the notice is answered "still a member"
+// and the move is denied.
+func waitLeft(t *testing.T, g *Group, acID, memberID string) {
+	t.Helper()
+	waitFor(t, memberID+" to leave "+acID, 5*time.Second, func() bool {
+		for i := 0; i < g.NumAreas(); i++ {
+			if ACID(i) == acID && g.Controller(i).HasMember(memberID) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // collector accumulates delivered payloads.
 type collector struct {
 	mu   sync.Mutex
@@ -440,14 +456,7 @@ func TestTicketRejoinToAnotherArea(t *testing.T) {
 	if err := m.Leave(); err != nil {
 		t.Fatalf("Leave: %v", err)
 	}
-	waitFor(t, "old area emptied", 5*time.Second, func() bool {
-		for i := 0; i < g.NumAreas(); i++ {
-			if ACID(i) == firstAC && g.Controller(i).HasMember("roamer") {
-				return false
-			}
-		}
-		return true
-	})
+	waitLeft(t, g, firstAC, "roamer")
 	rsJoins := g.RS.Joins()
 	if err := m.Rejoin(target); err != nil {
 		t.Fatalf("Rejoin: %v", err)

@@ -33,9 +33,6 @@ func New(opts ...Option) (*Group, error) {
 // WithAreas sets the number of areas (and controllers).
 func WithAreas(n int) Option { return func(c *config) { c.NumAreas = n } }
 
-// WithAreaFanout shapes the controller tree.
-func WithAreaFanout(n int) Option { return func(c *config) { c.AreaFanout = n } }
-
 // WithRSABits sets every principal's key size.
 func WithRSABits(bits int) Option { return func(c *config) { c.RSABits = bits } }
 

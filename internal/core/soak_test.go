@@ -39,9 +39,11 @@ func TestSoakFiveAreasFortyMembers(t *testing.T) {
 
 	recv := make([]*collector, population)
 	members := make([]*member.Member, population)
+	ids := make([]string, population)
 	for i := 0; i < population; i++ {
 		recv[i] = &collector{}
-		m, err := g.AddMember(fmt.Sprintf("s%d", i), MemberConfig{
+		ids[i] = fmt.Sprintf("s%d", i)
+		m, err := g.AddMember(ids[i], MemberConfig{
 			AutoRejoin: true,
 			OnData:     recv[i].onData,
 		})
@@ -63,7 +65,8 @@ func TestSoakFiveAreasFortyMembers(t *testing.T) {
 			}
 			members[idx].Close()
 			recv[idx] = &collector{}
-			m, err := g.AddMember(fmt.Sprintf("s%d", next), MemberConfig{
+			ids[idx] = fmt.Sprintf("s%d", next)
+			m, err := g.AddMember(ids[idx], MemberConfig{
 				AutoRejoin: true,
 				OnData:     recv[idx].onData,
 			})
@@ -86,6 +89,7 @@ func TestSoakFiveAreasFortyMembers(t *testing.T) {
 			if err := m.Leave(); err != nil {
 				t.Fatalf("round %d roam-leave: %v", round, err)
 			}
+			waitLeft(t, g, home, ids[idx])
 			if err := m.Rejoin(target); err != nil {
 				t.Fatalf("round %d rejoin: %v", round, err)
 			}

@@ -93,10 +93,13 @@ func TestConcurrentAccessDuringChurn(t *testing.T) {
 			t.Fatalf("churn join %d: %v", iter, err)
 		}
 		added = append(added, m)
-		victim := members[1+iter%(population-1)]
+		vi := 1 + iter%(population-1)
+		victim := members[vi]
+		home := victim.ControllerID()
 		if err := victim.Leave(); err != nil {
 			t.Fatalf("churn leave %d: %v", iter, err)
 		}
+		waitLeft(t, g, home, fmt.Sprintf("s%d", vi))
 		target := g.Directory()[iter%g.NumAreas()].ID
 		if err := victim.Rejoin(target); err != nil {
 			t.Fatalf("churn rejoin %d: %v", iter, err)

@@ -66,10 +66,17 @@ func TestQuorumElectionAfterLeaderKill(t *testing.T) {
 
 	// Every replica must hold the whole journal before the kill, or the
 	// test races the segment pulls.
+	primary := g.Controller(0)
 	waitFor(t, "replicas to absorb the journal", 10*time.Second, func() bool {
-		return replicasCaughtUp(g, 0, g.Controller(0))
+		return replicasCaughtUp(g, 0, primary)
 	})
+	if n := primary.Stats().Value(obs.MetricReplBytes); n <= 0 {
+		t.Errorf("primary counted %d replication bytes with every replica caught up", n)
+	}
 
+	// The crash only cuts the primary off the network, so read where it
+	// stood before it starts evicting silent members.
+	epoch, members := primary.Epoch(), primary.MemberIDs()
 	g.Net.Crash(ACAddr(0))
 	waitFor(t, "quorum promotion", 10*time.Second, func() bool {
 		return len(promotedReplicas(g, 0)) >= 1
@@ -82,6 +89,12 @@ func TestQuorumElectionAfterLeaderKill(t *testing.T) {
 		t.Fatalf("%d replicas promoted, want exactly 1", len(winners))
 	}
 	promoted := winners[0]
+	if got := promoted.Epoch(); got != epoch {
+		t.Errorf("winner serves epoch %d, primary died at %d", got, epoch)
+	}
+	if got := promoted.MemberIDs(); !reflect.DeepEqual(got, members) {
+		t.Errorf("winner serves members %v, primary had %v", got, members)
+	}
 
 	waitFor(t, "members to follow the failover", 10*time.Second, func() bool {
 		return ma.ControllerID() != ACID(0) && mb.ControllerID() != ACID(0) &&

@@ -52,7 +52,7 @@ func TestKeyPoolKeysAreUsable(t *testing.T) {
 	}
 	for i := 0; i < p.Size(); i++ {
 		kp := p.At(i)
-		msg := []byte("megasim handshake payload that exceeds one OAEP block once hybrid framing kicks in, padded out for good measure")
+		msg := []byte("join handshake payload that exceeds one OAEP block once hybrid framing kicks in, padded out for good measure")
 		sig := kp.Sign(msg)
 		if err := kp.Public().Verify(msg, sig); err != nil {
 			t.Errorf("key %d Verify: %v", i, err)

@@ -309,7 +309,9 @@ func (m *Member) Send(payload []byte) error {
 			From: m.cfg.Transport.Addr(),
 			Body: body,
 		})
-		m.lastSent = m.clk.Now()
+		if sendErr == nil {
+			m.lastSent = m.clk.Now()
+		}
 	})
 	if err != nil {
 		return err

@@ -327,6 +327,7 @@ func (m *Member) sendSealed(addr string, to crypt.PublicKey, kind wire.Kind, bod
 		Body: blob,
 	}); err != nil {
 		m.cfg.Logf("%s: sending %v to %s: %v", m.cfg.ID, kind, addr, err)
+		return // a frame that never left does not reset the §IV-A quiet timer
 	}
 	m.lastSent = m.clk.Now()
 }
@@ -343,6 +344,7 @@ func (m *Member) sendPlain(addr string, kind wire.Kind, body wire.Marshaler) {
 		Body: blob,
 	}); err != nil {
 		m.cfg.Logf("%s: sending %v to %s: %v", m.cfg.ID, kind, addr, err)
+		return // a frame that never left does not reset the §IV-A quiet timer
 	}
 	m.lastSent = m.clk.Now()
 }

@@ -2,9 +2,11 @@ package member
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mykil/internal/clock"
 	"mykil/internal/crypt"
 	"mykil/internal/keytree"
 	"mykil/internal/simnet"
@@ -60,7 +62,7 @@ func (s *simReceiver) send(to string, kind wire.Kind, body []byte, sig []byte) {
 	}
 }
 
-func newProtoRig(t *testing.T) *protoRig {
+func newProtoRig(t *testing.T, mut ...func(*Config)) *protoRig {
 	t.Helper()
 	r := &protoRig{
 		t:       t,
@@ -82,7 +84,7 @@ func newProtoRig(t *testing.T) *protoRig {
 	r.rs = &simReceiver{t: t, tr: rsTr}
 	r.ac = &simReceiver{t: t, tr: acTr}
 
-	m, err := New(Config{
+	cfg := Config{
 		ID:        "mem",
 		Transport: memTr,
 		Keys:      r.memKeys,
@@ -95,7 +97,11 @@ func newProtoRig(t *testing.T) *protoRig {
 		OnData: func(payload []byte, origin string) {
 			r.data <- origin + ":" + string(payload)
 		},
-	})
+	}
+	for _, f := range mut {
+		f(&cfg)
+	}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -386,6 +392,50 @@ func TestClientSendsMemberAliveWhenQuiet(t *testing.T) {
 	if alive.MemberID != "mem" {
 		t.Errorf("alive from %q", alive.MemberID)
 	}
+}
+
+// refuseNextSend fails the first frame handed to it once armed, as a
+// refused TCP dial would, and reports the kind it refused.
+type refuseNextSend struct {
+	transport.Transport
+	armed   atomic.Bool
+	refused chan wire.Kind
+}
+
+func (r *refuseNextSend) Send(to string, f *wire.Frame) error {
+	if r.armed.CompareAndSwap(true, false) {
+		r.refused <- f.Kind
+		return errors.New("dial refused")
+	}
+	return r.Transport.Send(to, f)
+}
+
+// TestFailedSendIsNotSpeaking: a MemberAlive the transport refused never
+// reached the controller, so it must not restart the §IV-A quiet timer —
+// the member tries again on its next housekeeping tick, not a further
+// TActive later.
+func TestFailedSendIsNotSpeaking(t *testing.T) {
+	const tIdle = time.Minute
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	tr := &refuseNextSend{refused: make(chan wire.Kind, 1)}
+	r := newProtoRig(t, func(c *Config) {
+		tr.Transport = c.Transport
+		c.Transport, c.Clock, c.TIdle, c.TActive = tr, fake, tIdle, 2*tIdle
+	})
+	r.join()
+
+	tr.armed.Store(true)
+	fake.Advance(2 * tIdle) // quiet for TActive: the alive is due, and refused
+	select {
+	case kind := <-tr.refused:
+		if kind != wire.KindMemberAlive {
+			t.Fatalf("first frame after TActive of quiet is %v, want MemberAlive", kind)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no MemberAlive attempted after TActive of quiet")
+	}
+	fake.Advance(tIdle) // one housekeeping tick later
+	r.ac.recv(wire.KindMemberAlive)
 }
 
 func TestClientDetectsEpochAheadAlive(t *testing.T) {

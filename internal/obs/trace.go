@@ -43,7 +43,7 @@ const (
 // Attr is one key/value annotation on an event. Values are plain
 // strings by construction: the typed constructors below accept only
 // identifiers, integers, and durations, never key material. The fields
-// are K and V (not Key) deliberately: keyleak's name heuristic treats a
+// are K and V (not Key) deliberately: keyflow's name heuristic treats a
 // bytes-like .Key as key material, and these never are.
 type Attr struct {
 	K string `json:"k"`

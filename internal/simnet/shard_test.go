@@ -159,7 +159,7 @@ func (c *advanceInAfter) After(d time.Duration) <-chan time.Time {
 // TestVirtualModeDeliversWhenClockMovesWhileArming: a message whose
 // deadline the clock reaches while its lane is arming the wait must still
 // be delivered without any further advance. A pump that moves the clock
-// only up to NextDue (E14, benchmark/w_virtual.go) otherwise spins on a
+// only up to NextDue (benchmark/harness.go) otherwise spins on a
 // due message for ever.
 func TestVirtualModeDeliversWhenClockMovesWhileArming(t *testing.T) {
 	clk := &advanceInAfter{Fake: clock.NewFake(simEpoch)}
