@@ -480,15 +480,15 @@ func (tw *taintWalker) callTaint(call *ast.CallExpr) (taintOrigin, bool) {
 		return taintOrigin{}, false
 	}
 	// The crypt.Suite datapath (calleeKey sees only "" for its interface
-	// calls, so the summary machinery is blind here): Open returns the
-	// decrypted plaintext — in this codebase a key-tree node key or a
-	// data key, so the result is a fresh source. Seal returns
+	// calls, so the summary machinery is blind here): Open and OpenTo
+	// return the decrypted plaintext — in this codebase a key-tree node
+	// key or a data key, so the result is a fresh source. Seal returns
 	// ciphertext, public by construction, so its result kills taint even
 	// when the plaintext argument was a key. SealTo appends ciphertext
 	// to dst, so its result carries exactly dst's prior taint.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isSuiteValue(tw.p.TypeOf(sel.X)) {
 		switch sel.Sel.Name {
-		case "Open":
+		case "Open", "OpenTo":
 			return taintOrigin{desc: exprString(call.Fun) + " (suite-decrypted bytes)", pos: call.Pos(), param: -1}, true
 		case "Seal":
 			return taintOrigin{}, false

@@ -75,6 +75,7 @@ type Suite interface {
 	Seal(k, plaintext []byte) []byte
 	SealTo(dst, k, plaintext []byte) []byte
 	Open(k, blob []byte) ([]byte, error)
+	OpenTo(dst, k, blob []byte) ([]byte, error)
 }
 
 // OpenThenLog decrypts a sealed key-tree blob and logs the plaintext:
@@ -85,6 +86,15 @@ func OpenThenLog(s Suite, k, blob []byte) {
 		return
 	}
 	log.Printf("recovered %x", pt) // want "pt carries key material copied from s.Open"
+}
+
+// OpenToThenLog is the same leak through the appending form.
+func OpenToThenLog(s Suite, k, blob []byte) {
+	pt, err := s.OpenTo(nil, k, blob)
+	if err != nil {
+		return
+	}
+	log.Printf("recovered %x", pt) // want "pt carries key material copied from s.OpenTo"
 }
 
 // exportNode wraps the suite Open one call level down; the summary

@@ -893,3 +893,100 @@ func TestBatchingDefersAdmission(t *testing.T) {
 		t.Error("member missing after flush")
 	}
 }
+
+// TestParentKeyUpdateReceive drives the controller's member side of its
+// parent's area: a rekey naming another area is dropped, a genuine one
+// applies, its re-delivery is ignored without asking the parent for
+// anything, and a missed epoch still triggers path recovery.
+func TestParentKeyUpdateReceive(t *testing.T) {
+	r := newRig(t, func(cfg *Config) {
+		pub, err := crypt.ParsePublicKey(cfg.Directory[1].PubDER)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Parent = &PeerInfo{ID: "ac-peer", Addr: "ac-peer", Pub: pub}
+		// No alive traffic and no silence-triggered re-parenting.
+		cfg.TIdle, cfg.TActive = time.Minute, time.Minute
+	})
+	recvKind(t, r.peer, wire.KindAreaJoinReq)
+
+	// The test plays the parent: its area's tree admits ac-0.
+	tree := keytree.New(keytree.Config{})
+	if _, err := tree.Join("resident"); err != nil {
+		t.Fatal(err)
+	}
+	admitted, err := tree.Join("ac-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := wire.SealBody(r.acKeys.Public(), wire.AreaJoinAck{
+		ParentID: "ac-peer", ParentAreaID: "area-peer",
+		Path: admitted.Joined["ac-0"], Epoch: admitted.Epoch, Timestamp: time.Now(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := &wire.Frame{Kind: wire.KindAreaJoinAck, From: "ac-peer", Body: blob, Sig: r.peerKeys.Sign(blob)}
+	if err := r.peer.Send("ac-0", ack); err != nil {
+		t.Fatal(err)
+	}
+	parentEpoch := func() (e uint64) {
+		if err := r.ctrl.call(func() {
+			if r.ctrl.parent != nil {
+				e = r.ctrl.parent.view.Epoch()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	waitEpoch := func(want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for parentEpoch() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("parent view at epoch %d, want %d", parentEpoch(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitEpoch(admitted.Epoch)
+
+	rekey := func(areaID string, res *keytree.BatchResult) {
+		t.Helper()
+		body, err := wire.PlainBody(wire.KeyUpdate{AreaID: areaID, Epoch: res.Epoch, Entries: res.Update.Entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac-peer", Body: body, Sig: r.peerKeys.Sign(body)}
+		if err := r.peer.Send("ac-0", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, err := tree.Join("another")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekey("area-elsewhere", next)
+	expectNoKind(t, r.peer, wire.KindPathRequest, 100*time.Millisecond)
+	if e := parentEpoch(); e != admitted.Epoch {
+		t.Fatalf("another area's rekey moved the parent view to epoch %d", e)
+	}
+	rekey("area-peer", next)
+	waitEpoch(next.Epoch)
+	rekey("area-peer", next) // duplicate delivery
+	expectNoKind(t, r.peer, wire.KindPathRequest, 150*time.Millisecond)
+
+	if _, err := tree.Join("skipped"); err != nil {
+		t.Fatal(err)
+	}
+	later, err := tree.Join("latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekey("area-peer", later)
+	recvKind(t, r.peer, wire.KindPathRequest)
+	if e := parentEpoch(); e != next.Epoch {
+		t.Fatalf("a gapped rekey moved the parent view to epoch %d", e)
+	}
+}

@@ -1,6 +1,7 @@
 package area
 
 import (
+	"errors"
 	"time"
 
 	"mykil/internal/crypt"
@@ -210,27 +211,25 @@ func (c *Controller) handleParentKeyUpdate(f *wire.Frame) {
 	if c.parent == nil || f.From != c.parent.info.Addr {
 		return
 	}
-	if err := c.parent.info.Pub.Verify(f.Body, f.Sig); err != nil {
-		c.cfg.Logf("%s: parent key update with bad signature", c.cfg.ID)
-		return
-	}
-	var u wire.KeyUpdate
-	if err := wire.DecodePlain(f.Body, &u); err != nil {
-		return
-	}
-	c.parent.lastRecv = c.clk.Now()
-	if _, err := c.parent.view.Apply(&keytree.KeyUpdate{Epoch: u.Epoch, Entries: u.Entries}); err != nil {
-		c.cfg.Logf("%s: applying parent key update: %v", c.cfg.ID, err)
-		// Recover the parent-area path.
+	_, err := wire.ReceiveKeyUpdate(f, c.parent.info.Pub, c.parent.areaID, c.parent.view)
+	switch {
+	case err == nil:
+		// Keep the journaled parent view current so a restart can keep
+		// forwarding upward without waiting for a path recovery.
+		c.journalParentSet()
+	case errors.Is(err, keytree.ErrEpochGap):
+		c.cfg.Logf("%s: %v; requesting parent-area path", c.cfg.ID, err)
 		c.sendPlain(c.parent.info.Addr, wire.KindPathRequest, wire.PathRequest{
 			MemberID: c.cfg.ID,
 			Epoch:    c.parent.view.Epoch(),
 		}, false)
+	case errors.Is(err, keytree.ErrStale):
+		// Duplicate delivery; nothing to recover.
+	default:
+		c.cfg.Logf("%s: parent key update dropped: %v", c.cfg.ID, err)
 		return
 	}
-	// Keep the journaled parent view current so a restart can keep
-	// forwarding upward without waiting for a path recovery.
-	c.journalParentSet()
+	c.parent.lastRecv = c.clk.Now()
 }
 
 // handleParentPathUpdate rebases our view of the parent area.

@@ -69,6 +69,13 @@ func (s *chachaSuite) Open(k SymKey, blob []byte) ([]byte, error) {
 	if len(blob) < AEADOverhead {
 		return nil, ErrShortCiphertext
 	}
+	return s.OpenTo(make([]byte, 0, len(blob)-AEADOverhead), k, blob)
+}
+
+func (s *chachaSuite) OpenTo(dst []byte, k SymKey, blob []byte) ([]byte, error) {
+	if len(blob) < AEADOverhead {
+		return nil, ErrShortCiphertext
+	}
 	if SuiteID(blob[0]) != SuiteChaCha20Poly1305 {
 		return nil, ErrDecrypt
 	}
@@ -89,9 +96,10 @@ func (s *chachaSuite) Open(k SymKey, blob []byte) ([]byte, error) {
 	if subtle.ConstantTimeCompare(tag, want[:]) != 1 {
 		return nil, ErrDecrypt
 	}
-	pt := make([]byte, len(ct))
-	chachaXOR(key, &n, 1, pt, ct)
-	return pt, nil
+	off := len(dst)
+	dst = grow(dst, len(ct))
+	chachaXOR(key, &n, 1, dst[off:], ct)
+	return dst, nil
 }
 
 // ---- ChaCha20 block function (RFC 8439 §2.3) ----

@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding"
 	"fmt"
 	"hash"
@@ -20,10 +21,12 @@ import (
 // pinned), while `aes-gcm` and `chacha20-poly1305` are modern AEADs
 // whose sealed blobs carry a one-byte suite ID prefix.
 //
-// SealTo is the hot-path form: it appends the sealed blob to dst and,
-// once the suite's per-key schedule is cached (SealTo caches it on first
-// use), performs no heap allocation when dst has capacity — the batch
-// rekey constructor builds KeyUpdate ciphertexts into one arena with it.
+// SealTo and OpenTo are the hot-path forms for keys that are used many
+// times (tree keys): they append to dst and, once the suite's per-key
+// schedule is cached (both cache it on first use), perform no heap
+// allocation when dst has capacity — the batch rekey constructor builds
+// KeyUpdate ciphertexts into one arena with SealTo, and a member unwraps
+// its path keys out of the delivered frame with OpenTo.
 type Suite interface {
 	// ID is the wire identity of the suite (one byte in sealed blobs and
 	// negotiation fields).
@@ -42,6 +45,11 @@ type Suite interface {
 	// Open authenticates and decrypts a Seal output; ErrDecrypt if the
 	// blob was not produced under k by this suite or has been modified.
 	Open(k SymKey, blob []byte) ([]byte, error)
+	// OpenTo appends Open's output to dst and returns the extended slice,
+	// or nil and Open's error. blob is only read — it may alias a buffer
+	// other receivers are opening at the same time — and dst must not
+	// overlap it.
+	OpenTo(dst []byte, k SymKey, blob []byte) ([]byte, error)
 }
 
 // SuiteID is the one-byte wire identity of a cipher suite.
@@ -223,8 +231,8 @@ func newLegacySchedule(k SymKey) *legacySchedule {
 // hash.Hash.Sum). Locals passed across an interface boundary escape to
 // the heap, so these live in a pool instead of on the stack.
 type legacyScratch struct {
-	ctr, ks  [aes.BlockSize]byte
-	innerSum [sha256.Size]byte
+	ctr, ks       [aes.BlockSize]byte
+	innerSum, sum [sha256.Size]byte
 }
 
 var legacyScratchPool = sync.Pool{New: func() any { return new(legacyScratch) }}
@@ -302,6 +310,28 @@ func (s *legacySuite) SealTo(dst []byte, k SymKey, plaintext []byte) []byte {
 	return dst
 }
 
+// OpenTo is Open (the stdlib-built reference) on the cached schedule:
+// the tag is recomputed and compared in constant time before any byte is
+// decrypted, and the plaintext goes to dst, never back into blob.
+func (s *legacySuite) OpenTo(dst []byte, k SymKey, blob []byte) ([]byte, error) {
+	if len(blob) < SealOverhead {
+		return nil, ErrShortCiphertext
+	}
+	body, tag := blob[:len(blob)-symTagLen], blob[len(blob)-symTagLen:]
+	sched := s.sched.get(k, newLegacySchedule)
+	sc := legacyScratchPool.Get().(*legacyScratch)
+	defer legacyScratchPool.Put(sc)
+	sched.tag(sc.sum[:], body, sc)
+	if subtle.ConstantTimeCompare(tag, sc.sum[:]) != 1 {
+		return nil, ErrDecrypt
+	}
+	ct := body[symNonceLen:]
+	off := len(dst)
+	dst = grow(dst, len(ct))
+	ctrXOR(sched.block, body[:symNonceLen], dst[off:], ct, sc)
+	return dst, nil
+}
+
 // ---- aes-gcm: AES-128-GCM, blob = id(1) || nonce(12) || ct+tag(16) ----
 
 const (
@@ -349,6 +379,10 @@ func (s *gcmSuite) SealTo(dst []byte, k SymKey, plaintext []byte) []byte {
 }
 
 func (s *gcmSuite) Open(k SymKey, blob []byte) ([]byte, error) {
+	return s.OpenTo(nil, k, blob)
+}
+
+func (s *gcmSuite) OpenTo(dst []byte, k SymKey, blob []byte) ([]byte, error) {
 	if len(blob) < AEADOverhead {
 		return nil, ErrShortCiphertext
 	}
@@ -356,7 +390,7 @@ func (s *gcmSuite) Open(k SymKey, blob []byte) ([]byte, error) {
 		return nil, ErrDecrypt
 	}
 	aead := s.sched.get(k, newGCM)
-	pt, err := aead.Open(nil, blob[1:1+aeadNonceLen], blob[1+aeadNonceLen:], nil)
+	pt, err := aead.Open(dst, blob[1:1+aeadNonceLen], blob[1+aeadNonceLen:], nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"testing"
+
+	"mykil/internal/race"
 )
 
 func TestSuiteRegistry(t *testing.T) {
@@ -163,6 +166,97 @@ func TestPoly1305Vector(t *testing.T) {
 	want, _ := hex.DecodeString("a8061dc1305136c6c22b8baf0c0127a9")
 	if !bytes.Equal(tag[:], want) {
 		t.Fatalf("poly1305 tag = %x, want %x", tag[:], want)
+	}
+}
+
+// TestOpenTo pins OpenTo as Open's appending mirror on every suite: same
+// plaintext, same errors, dst's prefix kept, blob never written — it is a
+// window onto a delivery buffer other receivers are reading. For legacy
+// the reference is the stdlib-built package-level Open.
+func TestOpenTo(t *testing.T) {
+	plaintexts := [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0x5A}, SymKeyLen), bytes.Repeat([]byte{0xAB}, 1000)}
+	for _, s := range Suites() {
+		k := NewSymKey()
+		ref := s.Open
+		if s.ID() == SuiteLegacy {
+			ref = Open
+		}
+		// check opens blob both ways and requires agreement with ref.
+		check := func(what string, blob []byte, wantErr error) {
+			t.Helper()
+			orig := bytes.Clone(blob)
+			prefix := []byte("prefix")
+			got, err := s.OpenTo(bytes.Clone(prefix), k, blob)
+			want, refErr := ref(k, blob)
+			if !errors.Is(err, wantErr) || !errors.Is(refErr, wantErr) {
+				t.Fatalf("%s: %s: OpenTo error %v, Open error %v, want %v", s.Name(), what, err, refErr, wantErr)
+			}
+			if !bytes.Equal(blob, orig) {
+				t.Fatalf("%s: %s: OpenTo wrote into blob", s.Name(), what)
+			}
+			if wantErr != nil {
+				if got != nil {
+					t.Fatalf("%s: %s: OpenTo returned %d bytes with its error", s.Name(), what, len(got))
+				}
+				return
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("%s: %s: OpenTo clobbered dst's prefix", s.Name(), what)
+			}
+			if !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("%s: %s: OpenTo = %x, Open = %x", s.Name(), what, got[len(prefix):], want)
+			}
+		}
+		for _, pt := range plaintexts {
+			blob := s.Seal(k, pt)
+			check("Seal output", blob, nil)
+			check("SealTo output", s.SealTo([]byte("junk"), k, pt)[4:], nil)
+			if got, err := s.OpenTo(nil, k, blob); err != nil || !bytes.Equal(got, pt) {
+				t.Fatalf("%s: OpenTo(nil) = %x, %v; want %x", s.Name(), got, err, pt)
+			}
+			for bit := 0; bit < 8*len(blob); bit++ {
+				blob[bit/8] ^= 1 << (bit % 8)
+				check("bit flip", blob, ErrDecrypt)
+				blob[bit/8] ^= 1 << (bit % 8)
+			}
+			for n := 0; n < s.Overhead(); n++ {
+				check("short input", blob[:n], ErrShortCiphertext)
+			}
+			if s.ID() != SuiteLegacy { // legacy blobs carry no ID byte
+				for _, other := range Suites() {
+					if other.ID() != s.ID() {
+						foreign := bytes.Clone(blob)
+						foreign[0] = byte(other.ID())
+						check("foreign suite ID", foreign, ErrDecrypt)
+					}
+				}
+			}
+			if _, err := s.OpenTo(nil, NewSymKey(), blob); !errors.Is(err, ErrDecrypt) {
+				t.Fatalf("%s: wrong key: %v, want ErrDecrypt", s.Name(), err)
+			}
+		}
+	}
+}
+
+func TestOpenToZeroAllocSteadyState(t *testing.T) {
+	if race.Enabled {
+		t.Skip("exact allocation counts are not meaningful under the race detector")
+	}
+	for _, s := range Suites() {
+		k := NewSymKey()
+		blob := s.Seal(k, make([]byte, SymKeyLen))
+		dst := make([]byte, 0, SymKeyLen)
+		if _, err := s.OpenTo(dst, k, blob); err != nil { // warm the schedule cache
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.OpenTo(dst, k, blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: OpenTo allocates %.1f/op on the pooled path, want 0", s.Name(), allocs)
+		}
 	}
 }
 

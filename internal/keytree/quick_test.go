@@ -402,11 +402,12 @@ func TestQuickViewMatchesMapSemantics(t *testing.T) {
 	}
 }
 
-// TestMemberViewApplyZeroAlloc pins that Apply allocates nothing of its
-// own: with the accounting cipher (whose unwrap is alloc-free) a
-// 128-entry leave rekey applies in 0 allocs/op. A suite encryptor adds
-// exactly the plaintext its Open returns per on-path entry, which must
-// stay fresh output because entry ciphertexts alias a shared buffer.
+// TestMemberViewApplyZeroAlloc pins that Apply over materialised entries
+// allocates nothing of its own: with the accounting cipher a 128-entry
+// leave rekey applies in 0 allocs/op. The receive path's pin — from the
+// wire, under every real suite, whose unwrap goes to pooled scratch and
+// never back into the shared ciphertext — is wire's
+// TestKeyUpdateReceiveZeroAlloc.
 func TestMemberViewApplyZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("exact allocation counts are not meaningful under the race detector")

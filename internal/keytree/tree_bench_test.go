@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mykil/internal/crypt"
+	"mykil/internal/wire/codec"
 )
 
 // benchKeyGen avoids crypto/rand syscalls in structural benchmarks.
@@ -78,31 +79,52 @@ func BenchmarkBatchLeave10(b *testing.B) {
 	}
 }
 
+// BenchmarkMemberViewApply measures one resident consuming one leave
+// rekey of a 1,024-member binary tree: "entries" applies the materialised
+// update (the send side's and the benchmark walk's form), "wire/<suite>"
+// is the receive path — the AppendEntries encoding streamed into the view.
 func BenchmarkMemberViewApply(b *testing.B) {
-	t := New(Config{Arity: 2})
-	var ms []MemberID
-	for i := 0; i < 1024; i++ {
-		ms = append(ms, MemberID(fmt.Sprintf("m%d", i)))
-	}
-	res, err := t.BatchJoin(ms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	view := NewMemberView(res.Joined["m7"], res.Epoch, NewSuiteEncryptor(nil))
-	// Pre-generate b.N leave updates is too costly; apply one update
-	// repeatedly against rewound copies instead.
-	leaveRes, err := t.Leave("m900")
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := view.PathKeys()
-	baseEpoch := res.Epoch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view.Rebase(base, baseEpoch)
-		if _, err := view.Apply(leaveRes.Update); err != nil {
+	run := func(b *testing.B, enc Encryptor, apply func(*MemberView, *KeyUpdate, []byte) error) {
+		t := New(Config{Arity: 2, Encryptor: enc})
+		var ms []MemberID
+		for i := 0; i < 1024; i++ {
+			ms = append(ms, MemberID(fmt.Sprintf("m%d", i)))
+		}
+		res, err := t.BatchJoin(ms)
+		if err != nil {
 			b.Fatal(err)
 		}
+		view := NewMemberView(res.Joined["m7"], res.Epoch, enc)
+		// Pre-generating b.N leave updates is too costly; apply one update
+		// repeatedly against rewound copies instead.
+		leaveRes, err := t.Leave("m900")
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := AppendEntries(nil, leaveRes.Update.Entries)
+		base := view.PathKeys()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			view.Rebase(base, res.Epoch)
+			if err := apply(view, leaveRes.Update, body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("entries", func(b *testing.B) {
+		run(b, NewSuiteEncryptor(nil), func(v *MemberView, u *KeyUpdate, _ []byte) error {
+			_, err := v.Apply(u)
+			return err
+		})
+	})
+	for _, s := range crypt.Suites() {
+		b.Run("wire/"+s.Name(), func(b *testing.B) {
+			run(b, NewSuiteEncryptor(s), func(v *MemberView, u *KeyUpdate, body []byte) error {
+				_, err := v.ApplyWire(u.Epoch, codec.NewReader(body))
+				return err
+			})
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"mykil/internal/crypt"
+	"mykil/internal/wire/codec"
 )
 
 // NodeID identifies a node in one auxiliary-key tree. IDs are stable for
@@ -93,8 +94,8 @@ var (
 //
 // A path is at most a tree's depth long (≤ 8 nodes at arity 4 for any
 // area this system runs), so the keys live in a slice parallel to path
-// and lookups are linear scans: Apply builds no index and allocates
-// nothing of its own.
+// and lookups are linear scans: Apply and ApplyWire build no index and
+// allocate nothing.
 type MemberView struct {
 	epoch uint64
 	path  []NodeID       // leaf first, root last
@@ -163,6 +164,45 @@ func (v *MemberView) index(id NodeID) int {
 	return -1
 }
 
+// checkEpoch reports whether an update for epoch is the next one in
+// sequence.
+func (v *MemberView) checkEpoch(epoch uint64) error {
+	if epoch <= v.epoch {
+		return fmt.Errorf("%w: update epoch %d, view epoch %d", ErrStale, epoch, v.epoch)
+	}
+	if epoch != v.epoch+1 {
+		return fmt.Errorf("%w: update epoch %d, view epoch %d", ErrEpochGap, epoch, v.epoch)
+	}
+	return nil
+}
+
+// applyEntry unwraps one rekey entry if its node lies on the member's
+// path and the member holds its "under" key, and reports whether a key
+// changed. ciphertext is only read.
+func (v *MemberView) applyEntry(nodeID, underID NodeID, ciphertext []byte) bool {
+	node := v.index(nodeID)
+	if node < 0 {
+		return false
+	}
+	under := node
+	if underID != nodeID {
+		if under = v.index(underID); under < 0 {
+			return false
+		}
+	}
+	newKey, err := v.enc.DecryptKey(v.keys[under], ciphertext)
+	if err != nil {
+		// Under self-encryption (join mode) our key for this node may
+		// already be the new one (fresh unicast); skip quietly.
+		return false
+	}
+	if v.keys[node].Equal(newKey) {
+		return false
+	}
+	v.keys[node] = newKey
+	return true
+}
+
 // Apply consumes one KeyUpdate, decrypting every entry whose "under" key
 // the member holds and whose "node" lies on the member's path. It returns
 // the number of keys the member actually updated (the paper's §V-B CPU
@@ -170,37 +210,52 @@ func (v *MemberView) index(id NodeID) int {
 // ciphertexts are only read — they may alias a delivery buffer other
 // members are applying at the same time.
 func (v *MemberView) Apply(u *KeyUpdate) (updated int, err error) {
-	if u.Epoch <= v.epoch {
-		return 0, fmt.Errorf("%w: update epoch %d, view epoch %d", ErrStale, u.Epoch, v.epoch)
-	}
-	if u.Epoch != v.epoch+1 {
-		return 0, fmt.Errorf("%w: update epoch %d, view epoch %d", ErrEpochGap, u.Epoch, v.epoch)
+	if err := v.checkEpoch(u.Epoch); err != nil {
+		return 0, err
 	}
 	for i := range u.Entries {
 		e := &u.Entries[i]
-		node := v.index(e.Node)
-		if node < 0 {
-			continue
+		if v.applyEntry(e.Node, e.Under, e.Ciphertext) {
+			updated++
 		}
-		under := node
-		if e.Under != e.Node {
-			if under = v.index(e.Under); under < 0 {
-				continue
-			}
-		}
-		newKey, decErr := v.enc.DecryptKey(v.keys[under], e.Ciphertext)
-		if decErr != nil {
-			// Under self-encryption (join mode) our key for this node may
-			// already be the new one (fresh unicast); skip quietly.
-			continue
-		}
-		if v.keys[node].Equal(newKey) {
-			continue
-		}
-		v.keys[node] = newKey
-		updated++
 	}
 	v.epoch = u.Epoch
+	return updated, nil
+}
+
+// ApplyWire is Apply for an update still in its AppendEntries encoding:
+// r stands at the entry list, which must be the last thing in its input,
+// and epoch is the update's. The list is walked in place — no []Entry is
+// built, so the work is two varints per entry plus an unwrap for the few
+// on the member's own path — and walked twice: the first pass only checks
+// structure (count bound, every entry well-formed, input fully consumed),
+// so a malformed list returns the decode error with no key and no epoch
+// changed, exactly as ReadEntries failing before Apply would. The input
+// is only read.
+func (v *MemberView) ApplyWire(epoch uint64, r *codec.Reader) (updated int, err error) {
+	start := *r
+	var e Entry
+	n := r.Count(entryMinWire)
+	for i := 0; i < n; i++ {
+		if err := e.ReadWire(r); err != nil {
+			return 0, err
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return 0, err
+	}
+	if err := v.checkEpoch(epoch); err != nil {
+		return 0, err
+	}
+	*r = start
+	r.Count(entryMinWire)
+	for i := 0; i < n; i++ {
+		_ = e.ReadWire(r) // validated by the first pass
+		if v.applyEntry(e.Node, e.Under, e.Ciphertext) {
+			updated++
+		}
+	}
+	v.epoch = epoch
 	return updated, nil
 }
 
@@ -222,9 +277,10 @@ type Encryptor interface {
 	DecryptKey(under crypt.SymKey, ciphertext []byte) (crypt.SymKey, error)
 }
 
-// keyBufPool holds key-sized scratch for EncryptKeyTo: a stack array
-// passed across the crypt.Suite interface boundary would escape to the
-// heap per call, so payload copies come from here instead.
+// keyBufPool holds key-sized scratch for EncryptKeyTo and DecryptKey: a
+// stack array passed across the crypt.Suite interface boundary would
+// escape to the heap per call, so the payload copy and the unwrapped
+// plaintext live here instead.
 var keyBufPool = sync.Pool{New: func() any { return new([crypt.SymKeyLen]byte) }}
 
 // SuiteEncryptor wraps keys with real authenticated encryption under a
@@ -250,7 +306,9 @@ func NewSuiteEncryptor(s crypt.Suite) SuiteEncryptor {
 
 // DecryptKey implements Encryptor.
 func (e SuiteEncryptor) DecryptKey(under crypt.SymKey, ciphertext []byte) (crypt.SymKey, error) {
-	pt, err := e.suite.Open(under, ciphertext)
+	buf := keyBufPool.Get().(*[crypt.SymKeyLen]byte)
+	defer keyBufPool.Put(buf)
+	pt, err := e.suite.OpenTo(buf[:0], under, ciphertext)
 	if err != nil {
 		return crypt.SymKey{}, err
 	}

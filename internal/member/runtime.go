@@ -103,32 +103,21 @@ func (m *Member) handleKeyUpdate(f *wire.Frame) {
 		return
 	}
 	// §III-E: key update messages are signed by the area controller.
-	if err := m.acPub.Verify(f.Body, f.Sig); err != nil {
-		m.cfg.Logf("%s: key update with bad signature dropped", m.cfg.ID)
-		return
-	}
-	// The entries' ciphertexts alias f.Body, which aliases the shared
-	// delivery buffer; Apply unwraps the on-path ones into fresh keys and
-	// nothing of u outlives this handler.
-	var u wire.KeyUpdate
-	if err := wire.DecodePlain(f.Body, &u); err != nil {
-		return
-	}
-	if u.AreaID != m.areaID {
-		return
-	}
-	_, err := m.view.Apply(&keytree.KeyUpdate{Epoch: u.Epoch, Entries: u.Entries})
+	// The entries stream out of f.Body, which aliases the shared
+	// delivery buffer: the on-path ones unwrap into fresh keys and
+	// nothing of the frame outlives this handler.
+	epoch, err := wire.ReceiveKeyUpdate(f, m.acPub, m.areaID, m.view)
 	switch {
 	case err == nil:
 		m.rekeys++
 	case errors.Is(err, keytree.ErrEpochGap):
 		// A rekey was lost (e.g. transient partition): recover the path.
-		m.cfg.Logf("%s: missed rekey (at %d, got %d); requesting path", m.cfg.ID, m.view.Epoch(), u.Epoch)
+		m.cfg.Logf("%s: missed rekey (at %d, got %d); requesting path", m.cfg.ID, m.view.Epoch(), epoch)
 		m.requestPath()
 	case errors.Is(err, keytree.ErrStale):
 		// Duplicate delivery; ignore.
 	default:
-		m.cfg.Logf("%s: applying key update: %v", m.cfg.ID, err)
+		m.cfg.Logf("%s: key update dropped: %v", m.cfg.ID, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -416,6 +417,43 @@ func (m *KeyUpdate) ReadWire(r *codec.Reader) error {
 	var err error
 	m.Entries, err = keytree.ReadEntries(r)
 	return err
+}
+
+// ReceiveKeyUpdate is the receive side of a KindKeyUpdate frame, shared
+// by its two receivers (a member, and a controller as a member of its
+// parent's area). f must be signed by signer (§III-E) — checked before a
+// byte of the body is decoded — and name areaID; its entries are then
+// streamed out of the frame into view (keytree.MemberView.ApplyWire), so
+// no KeyUpdate value is built and f.Body is only read.
+//
+// It returns the update's epoch and nil once view stands at it;
+// keytree.ErrStale for a duplicate delivery, to ignore;
+// keytree.ErrEpochGap when updates were missed and the receiver must
+// recover its path; and crypt.ErrBadSignature, ErrBadBody or
+// ErrWrongArea for a frame to drop. view is unchanged on every error.
+func ReceiveKeyUpdate(f *Frame, signer crypt.PublicKey, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
+	if err := signer.Verify(f.Body, f.Sig); err != nil {
+		return 0, err
+	}
+	return applyKeyUpdate(f.Body, areaID, view)
+}
+
+// applyKeyUpdate is ReceiveKeyUpdate after the signature check.
+func applyKeyUpdate(body []byte, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
+	r := codec.NewReader(body)
+	area := r.BorrowBytes()
+	epoch = r.Uvarint()
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	if string(area) != areaID {
+		return epoch, ErrWrongArea
+	}
+	_, err = view.ApplyWire(epoch, r)
+	if err != nil && !errors.Is(err, keytree.ErrStale) && !errors.Is(err, keytree.ErrEpochGap) {
+		err = fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	return epoch, err
 }
 
 // AppendWire implements Marshaler.

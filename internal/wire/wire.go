@@ -157,6 +157,7 @@ var (
 	ErrBadFrame  = errors.New("wire: malformed frame")
 	ErrBadBody   = errors.New("wire: body does not decode")
 	ErrBadDigest = errors.New("wire: body integrity digest mismatch")
+	ErrWrongArea = errors.New("wire: key update names another area")
 )
 
 // Frame is the unit handed to the transport.
