@@ -250,6 +250,10 @@ type parentState struct {
 	suite    crypt.Suite
 	lastRecv time.Time
 	lastSent time.Time
+	// pathAskedEpoch and pathRetryAt rate-limit PathRequests to the
+	// parent (requestParentPath), as a member's do.
+	pathAskedEpoch uint64
+	pathRetryAt    time.Time
 }
 
 // Controller is one Mykil area controller. All state is owned by the run
@@ -264,6 +268,12 @@ type Controller struct {
 
 	tree    *keytree.Tree
 	members map[string]*memberEntry
+
+	// multicastKeyUpdate's scratch, reused by every flush: the scope
+	// table, the cut encoder's buffers, and the per-part frame slots.
+	kuScopes []keytree.NodeID
+	kuCut    wire.KeyUpdateCut
+	kuFrames []*wire.Frame
 
 	joinSessions   map[string]*joinSession
 	rejoinSessions map[string]*rejoinSession
@@ -319,6 +329,8 @@ type Controller struct {
 	cEvictions     *obs.Counter
 	cRekeys        *obs.Counter
 	cRekeyEntries  *obs.Counter
+	cRekeyParts    *obs.Counter
+	cRekeyBytes    *obs.Counter
 	cDataRelayed   *obs.Counter
 	cDataForwarded *obs.Counter
 	cRejoinDenied  *obs.Counter
@@ -344,6 +356,8 @@ const (
 	StatEvictions     = "ac.evictions"      // silent members terminated (§IV-A)
 	StatRekeys        = "ac.rekeys"         // rekey operations performed
 	StatRekeyEntries  = "ac.rekey.entries"  // encrypted keys across all rekeys
+	StatRekeyParts    = "ac.rekey.parts"    // KeyUpdate parts sent (distinct bodies under one signature each rekey)
+	StatRekeyBytes    = "ac.rekey.bytes"    // KeyUpdate body+signature bytes handed to the transport, all receivers
 	StatDataRelayed   = "ac.data.relayed"   // data frames relayed within the area
 	StatDataForwarded = "ac.data.forwarded" // data frames forwarded to the parent
 	StatRejoinDenied  = "ac.rejoin.denied"  // rejoins refused
@@ -386,6 +400,8 @@ func New(cfg Config) (*Controller, error) {
 	c.cEvictions = c.metrics.Counter(StatEvictions, "Silent members terminated (T_idle policy).")
 	c.cRekeys = c.metrics.Counter(StatRekeys, "Rekey operations performed.")
 	c.cRekeyEntries = c.metrics.Counter(StatRekeyEntries, "Encrypted key entries across all rekeys.")
+	c.cRekeyParts = c.metrics.Counter(StatRekeyParts, "KeyUpdate parts sent: distinct bodies cut per root subtree, one signature per rekey.")
+	c.cRekeyBytes = c.metrics.Counter(StatRekeyBytes, "KeyUpdate body and signature bytes handed to the transport, summed over receivers.")
 	c.cDataRelayed = c.metrics.Counter(StatDataRelayed, "Data frames relayed within the area.")
 	c.cDataForwarded = c.metrics.Counter(StatDataForwarded, "Data frames forwarded to the parent area.")
 	c.cRejoinDenied = c.metrics.Counter(StatRejoinDenied, "Rejoins refused.")

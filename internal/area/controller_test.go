@@ -8,6 +8,7 @@ import (
 	"mykil/internal/clock"
 	"mykil/internal/crypt"
 	"mykil/internal/keytree"
+	"mykil/internal/obs"
 	"mykil/internal/simnet"
 	"mykil/internal/ticket"
 	"mykil/internal/transport"
@@ -897,15 +898,19 @@ func TestBatchingDefersAdmission(t *testing.T) {
 // TestParentKeyUpdateReceive drives the controller's member side of its
 // parent's area: a rekey naming another area is dropped, a genuine one
 // applies, its re-delivery is ignored without asking the parent for
-// anything, and a missed epoch still triggers path recovery.
+// anything, and a missed epoch triggers path recovery — one PathRequest
+// per missed epoch however many later rekeys reveal it (each answer
+// costs the parent an RSA seal and a signature), repeated only after
+// TIdle on the injected clock.
 func TestParentKeyUpdateReceive(t *testing.T) {
+	fake := clock.NewFake(fakeEpoch)
 	r := newRig(t, func(cfg *Config) {
 		pub, err := crypt.ParsePublicKey(cfg.Directory[1].PubDER)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Parent = &PeerInfo{ID: "ac-peer", Addr: "ac-peer", Pub: pub}
-		// No alive traffic and no silence-triggered re-parenting.
+		cfg.Clock = fake
 		cfg.TIdle, cfg.TActive = time.Minute, time.Minute
 	})
 	recvKind(t, r.peer, wire.KindAreaJoinReq)
@@ -954,11 +959,14 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 
 	rekey := func(areaID string, res *keytree.BatchResult) {
 		t.Helper()
-		body, err := wire.PlainBody(wire.KeyUpdate{AreaID: areaID, Epoch: res.Epoch, Entries: res.Update.Entries})
+		var cut wire.KeyUpdateCut
+		scopes := res.Update.Scopes(nil)
+		cut.Encode(areaID, res.Update, scopes)
+		part, err := tree.Part("ac-0", scopes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac-peer", Body: body, Sig: r.peerKeys.Sign(body)}
+		f := &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac-peer", Body: cut.Body(part), Sig: r.peerKeys.Sign(cut.Header())}
 		if err := r.peer.Send("ac-0", f); err != nil {
 			t.Fatal(err)
 		}
@@ -971,6 +979,9 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 	expectNoKind(t, r.peer, wire.KindPathRequest, 100*time.Millisecond)
 	if e := parentEpoch(); e != admitted.Epoch {
 		t.Fatalf("another area's rekey moved the parent view to epoch %d", e)
+	}
+	if name := obs.MetricKeyUpdateDropped("wrong_area"); r.ctrl.Stats().Snapshot()[name] != 1 {
+		t.Errorf("%s = %d after one rekey naming another area", name, r.ctrl.Stats().Snapshot()[name])
 	}
 	rekey("area-peer", next)
 	waitEpoch(next.Epoch)
@@ -989,4 +1000,13 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 	if e := parentEpoch(); e != next.Epoch {
 		t.Fatalf("a gapped rekey moved the parent view to epoch %d", e)
 	}
+	evenLater, err := tree.Join("and another")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekey("area-peer", evenLater)
+	expectNoKind(t, r.peer, wire.KindPathRequest, 150*time.Millisecond)
+	fake.Advance(time.Minute)
+	rekey("area-peer", evenLater)
+	recvKind(t, r.peer, wire.KindPathRequest)
 }

@@ -149,9 +149,12 @@ func (c *Controller) applyBatch(joins []pendingAdmission, leaves []string) {
 }
 
 // multicastKeyUpdate distributes a rekey message to every member that did
-// not already receive fresh keys by unicast.
+// not already receive fresh keys by unicast. The update is signed once,
+// over a header that lists one scope per part with the part's digest,
+// and every member is sent that header with the part cut for it.
 func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult, joins []pendingAdmission) {
-	if res.Update == nil || len(res.Update.Entries) == 0 {
+	u := res.Update
+	if u == nil || len(u.Entries) == 0 {
 		return
 	}
 	skip := make(map[string]bool, len(joins)+len(res.Displaced))
@@ -161,29 +164,46 @@ func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult, joins []pendin
 	for m := range res.Displaced {
 		skip[string(m)] = true
 	}
-	body, err := wire.PlainBody(wire.KeyUpdate{
-		AreaID:  c.cfg.AreaID,
-		Epoch:   res.Epoch,
-		Entries: res.Update.Entries,
-	})
-	if err != nil {
-		c.cfg.Logf("%s: encoding key update: %v", c.cfg.ID, err)
-		return
-	}
-	f := &wire.Frame{
-		Kind: wire.KindKeyUpdate,
-		From: c.cfg.Transport.Addr(),
-		Body: body,
-		Sig:  c.cfg.Keys.Sign(body),
-	}
-	// One *Frame for the whole area: the first send encodes it, every
-	// later one hands the transport the same bytes.
+	// The delivery choice is this one line. Both transports fan a
+	// multicast out as per-receiver sends, so the update is cut per
+	// touched root subtree and a resident receives about 1/arity of it;
+	// the scope table {u.Root} instead makes one body for the whole area,
+	// what a true multicast transport would want.
+	c.kuScopes = u.Scopes(c.kuScopes[:0])
+	c.kuCut.Encode(c.cfg.AreaID, u, c.kuScopes)
+	sig := c.cfg.Keys.Sign(c.kuCut.Header())
+
+	// One *Frame per part, built when its first receiver turns up: the
+	// first send encodes it, every later one hands the transport the
+	// same bytes.
+	c.kuFrames = append(c.kuFrames[:0], make([]*wire.Frame, len(c.kuScopes))...)
+	var parts, sent int64
 	for id, entry := range c.members {
 		if skip[id] {
 			continue
 		}
+		part, err := c.tree.Part(keytree.MemberID(id), c.kuScopes)
+		if err != nil {
+			c.cfg.Logf("%s: key update for %s: %v", c.cfg.ID, id, err)
+			continue
+		}
+		f := c.kuFrames[part]
+		if f == nil {
+			f = &wire.Frame{
+				Kind: wire.KindKeyUpdate,
+				From: c.cfg.Transport.Addr(),
+				Body: c.kuCut.Body(part),
+				Sig:  sig,
+			}
+			c.kuFrames[part] = f
+			parts++
+		}
+		sent += int64(len(f.Body) + len(f.Sig))
 		c.send(entry.addr, f)
 	}
+	clear(c.kuFrames)
+	c.cRekeyParts.Add(parts)
+	c.cRekeyBytes.Add(sent)
 	c.lastAreaSend = c.clk.Now()
 }
 

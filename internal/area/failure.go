@@ -218,18 +218,33 @@ func (c *Controller) handleParentKeyUpdate(f *wire.Frame) {
 		// forwarding upward without waiting for a path recovery.
 		c.journalParentSet()
 	case errors.Is(err, keytree.ErrEpochGap):
-		c.cfg.Logf("%s: %v; requesting parent-area path", c.cfg.ID, err)
-		c.sendPlain(c.parent.info.Addr, wire.KindPathRequest, wire.PathRequest{
-			MemberID: c.cfg.ID,
-			Epoch:    c.parent.view.Epoch(),
-		}, false)
+		c.requestParentPath(err)
 	case errors.Is(err, keytree.ErrStale):
 		// Duplicate delivery; nothing to recover.
 	default:
+		obs.KeyUpdateDropped(c.metrics, wire.KeyUpdateDropReason(err))
 		c.cfg.Logf("%s: parent key update dropped: %v", c.cfg.ID, err)
 		return
 	}
 	c.parent.lastRecv = c.clk.Now()
+}
+
+// requestParentPath asks the parent to resend our path in its area after
+// a missed rekey. Each answer costs the parent an RSA seal and a
+// signature, so — the member's rule (member.requestPath) — one missed
+// epoch earns one request however many later updates reveal it, repeated
+// only after TIdle without a PathUpdate.
+func (c *Controller) requestParentPath(why error) {
+	now, epoch := c.clk.Now(), c.parent.view.Epoch()
+	if epoch == c.parent.pathAskedEpoch && now.Before(c.parent.pathRetryAt) {
+		return
+	}
+	c.parent.pathAskedEpoch, c.parent.pathRetryAt = epoch, now.Add(c.cfg.TIdle)
+	c.cfg.Logf("%s: %v; requesting parent-area path", c.cfg.ID, why)
+	c.sendPlain(c.parent.info.Addr, wire.KindPathRequest, wire.PathRequest{
+		MemberID: c.cfg.ID,
+		Epoch:    epoch,
+	}, false)
 }
 
 // handleParentPathUpdate rebases our view of the parent area.

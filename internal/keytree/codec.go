@@ -48,6 +48,26 @@ func AppendEntries(b []byte, es []Entry) []byte {
 	return b
 }
 
+// AppendPart appends, as an AppendEntries list, the part of u cut for
+// scopes[i] — a scope table from Scopes, or any other that ends in
+// u.Root. Entries keep their bottom-up order, and the parts of one table
+// together hold every entry of u.
+func (u *KeyUpdate) AppendPart(b []byte, scopes []NodeID, i int) []byte {
+	n := 0
+	for j := range u.Entries {
+		if u.inPart(&u.Entries[j], scopes, i) {
+			n++
+		}
+	}
+	b = codec.AppendUvarint(b, uint64(n))
+	for j := range u.Entries {
+		if e := &u.Entries[j]; u.inPart(e, scopes, i) {
+			b = e.AppendWire(b)
+		}
+	}
+	return b
+}
+
 // ReadEntries decodes an AppendEntries list.
 func ReadEntries(r *codec.Reader) ([]Entry, error) {
 	n := r.Count(entryMinWire)

@@ -1,6 +1,7 @@
 package keytree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"mykil/internal/crypt"
 	"mykil/internal/race"
+	"mykil/internal/wire/codec"
 )
 
 // opScript is a generated random operation sequence for property tests.
@@ -121,6 +123,136 @@ func TestQuickRandomOpSequences(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickPartAloneEqualsWholeUpdate is the cut's contract (KeyUpdate
+// Scopes/AppendPart, Tree.Part): over random join, leave, mixed and
+// freshness rekeys, every surviving member that was not moved ends with
+// the same keys and epoch whether it applies the whole update or only the
+// part cut for it; the parts of one table are in-order selections of the
+// update that together hold every entry; and the one-scope table {Root}
+// yields the whole list.
+func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
+	f := func(script opScript) bool {
+		rng := rand.New(rand.NewSource(script.seed))
+		tree := New(Config{Arity: script.arity})
+		enc := NewSuiteEncryptor(nil)
+		type pair struct{ whole, part *MemberView }
+		views := make(map[MemberID]pair)
+		var population []MemberID
+		next := 0
+
+		for step := 0; step < script.steps; step++ {
+			var res *BatchResult
+			if len(population) > 0 && rng.Intn(6) == 0 {
+				res = tree.RefreshAreaKey()
+			} else {
+				var joins, leaves []MemberID
+				for i := rng.Intn(3); i > 0 || len(population)+len(joins) == 0; i-- {
+					joins = append(joins, MemberID(fmt.Sprintf("c%d", next)))
+					next++
+				}
+				for i := rng.Intn(3); i > 0 && len(population) > 1; i-- {
+					idx := rng.Intn(len(population))
+					leaves = append(leaves, population[idx])
+					population = append(population[:idx], population[idx+1:]...)
+				}
+				if len(joins)+len(leaves) == 0 {
+					continue
+				}
+				var err error
+				if res, err = tree.Batch(joins, leaves); err != nil {
+					t.Logf("batch error: %v", err)
+					return false
+				}
+				for _, m := range leaves {
+					delete(views, m)
+				}
+				population = append(population, joins...)
+			}
+			u := res.Update
+			scopes := u.Scopes(nil)
+			if scopes[len(scopes)-1] != u.Root || len(scopes) > script.arity+1 {
+				t.Logf("step %d: scope table %v does not end in root %d within arity %d", step, scopes, u.Root, script.arity)
+				return false
+			}
+
+			// Parts are in-order selections that cover the update.
+			covered := make([]bool, len(u.Entries))
+			for i := range scopes {
+				r := codec.NewReader(u.AppendPart(nil, scopes, i))
+				part, err := ReadEntries(r)
+				if err != nil || r.Finish() != nil {
+					t.Logf("step %d: part %d does not decode: %v", step, i, err)
+					return false
+				}
+				at := 0
+				for _, pe := range part {
+					for at < len(u.Entries) && !sameEntry(u.Entries[at], pe) {
+						at++
+					}
+					if at == len(u.Entries) {
+						t.Logf("step %d: part %d holds %+v out of the update's order", step, i, pe)
+						return false
+					}
+					covered[at] = true
+					at++
+				}
+			}
+			for i, ok := range covered {
+				if !ok {
+					t.Logf("step %d: entry %d (%+v) is in no part", step, i, u.Entries[i])
+					return false
+				}
+			}
+			if whole := u.AppendPart(nil, []NodeID{u.Root}, 0); !bytes.Equal(whole, AppendEntries(nil, u.Entries)) {
+				t.Logf("step %d: the {root} table does not yield the whole list", step)
+				return false
+			}
+
+			for m, v := range views {
+				if _, moved := res.Displaced[m]; moved {
+					continue
+				}
+				mine, err := tree.Part(m, scopes)
+				if err != nil {
+					t.Logf("step %d: %v", step, err)
+					return false
+				}
+				if _, err := v.whole.Apply(u); err != nil {
+					t.Logf("step %d: %s applying the whole update: %v", step, m, err)
+					return false
+				}
+				if _, err := v.part.ApplyWire(u.Epoch, codec.NewReader(u.AppendPart(nil, scopes, mine))); err != nil {
+					t.Logf("step %d: %s applying part %d: %v", step, m, mine, err)
+					return false
+				}
+				if v.part.Epoch() != v.whole.Epoch() || !reflect.DeepEqual(v.part.PathKeys(), v.whole.PathKeys()) {
+					t.Logf("step %d: %s holds different keys after part %d than after the whole update", step, m, mine)
+					return false
+				}
+				if !v.part.AreaKey().Equal(tree.AreaKey()) {
+					t.Logf("step %d: %s lost the area key on part %d", step, m, mine)
+					return false
+				}
+			}
+			for m, pk := range res.Displaced {
+				views[m].whole.Rebase(pk, res.Epoch)
+				views[m].part.Rebase(pk, res.Epoch)
+			}
+			for m, pk := range res.Joined {
+				views[m] = pair{NewMemberView(pk, res.Epoch, enc), NewMemberView(pk, res.Epoch, enc)}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func sameEntry(a, b Entry) bool {
+	return a.Node == b.Node && a.Under == b.Under && bytes.Equal(a.Ciphertext, b.Ciphertext)
 }
 
 // TestQuickPruneModeInvariants runs random churn against a pruning tree:

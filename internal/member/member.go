@@ -211,7 +211,8 @@ func New(cfg Config) (*Member, error) {
 }
 
 // Stats exposes the member's counters — the node loop's (frames,
-// commands, ticks, drops) and obs.MetricDataDropped — labeled with the
+// commands, ticks, drops), obs.MetricDataDropped and, once one has
+// happened, obs.MetricKeyUpdateDropped by reason — labeled with the
 // member's ID.
 func (m *Member) Stats() *obs.Registry { return m.loop.Stats() }
 

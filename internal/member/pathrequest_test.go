@@ -1,6 +1,8 @@
 package member
 
 import (
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,5 +93,125 @@ func TestOnePathRequestPerMissedRekey(t *testing.T) {
 	stale(1)
 	if got := tap.n.Load(); got != 2 {
 		t.Fatalf("no PathUpdate for TIdle, then another stale packet: %d PathRequests, want 2", got)
+	}
+}
+
+// TestMisdeliveredKeyUpdatePartChangesNothing: a member handed a part of
+// a genuine rekey that was not cut for it — a sibling subtree's, the
+// root-only part while its own branch has one, its own with a changed
+// entry — or a signed header with no scope, counts the drop under its
+// reason, keeps keys and epoch, and asks the controller for nothing (the
+// frame reveals no missed epoch). Its own part, arriving after all that,
+// applies.
+func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	ac, err := transport.NewSim(n, "ac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ac.Close() }()
+	tr, err := transport.NewSim(n, "m05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	tap := &pathRequestTap{Transport: tr}
+	keys := keyPair(t)
+	m, err := New(Config{
+		ID: "m05", Transport: tap, Keys: keys, RSAddr: "rs", RSPub: keys.Public(),
+		TIdle: time.Minute, TActive: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, _ := crypt.SuiteByID(crypt.SuiteLegacy)
+	tree := keytree.New(keytree.Config{Encryptor: keytree.NewSuiteEncryptor(suite)})
+	ids := make([]keytree.MemberID, 64)
+	for i := range ids {
+		ids[i] = keytree.MemberID(fmt.Sprintf("m%02d", i))
+	}
+	if err := tree.Preload(ids); err != nil {
+		t.Fatal(err)
+	}
+	base, err := tree.PathKeys("m05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := tree.Epoch()
+	attachDirect(m, keys.Public(), base, epoch, suite)
+	m.Start()
+	defer m.Close()
+
+	// One leaver per root subtree: every branch, m05's included, gets a
+	// part of its own, and the root's part is empty.
+	res, err := tree.BatchLeave([]keytree.MemberID{"m04", "m20", "m36", "m52"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopes := res.Update.Scopes(nil)
+	var cut wire.KeyUpdateCut
+	cut.Encode("area-x", res.Update, scopes)
+	mine, err := tree.Part("m05", scopes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scopes) != keytree.DefaultArity+1 || mine == len(scopes)-1 {
+		t.Fatalf("fixture cut %d parts and gave m05 part %d", len(scopes), mine)
+	}
+	sig := keys.Sign(cut.Header())
+	send := func(body, sig []byte) {
+		t.Helper()
+		if err := ac.Send("m05", &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac", Body: body, Sig: sig}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drops := func(reason string) int64 { return m.Stats().Snapshot()[obs.MetricKeyUpdateDropped(reason)] }
+	waitDrops := func(reason string, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); drops(reason) < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s drops = %d, want %d", reason, drops(reason), want)
+			}
+		}
+	}
+
+	for i := range scopes {
+		if i != mine {
+			send(cut.Body(i), sig) // siblings' parts, and last the root-only one
+		}
+	}
+	waitDrops("wrong_part", int64(len(scopes)-1))
+	tampered := cut.Body(mine)
+	tampered[len(tampered)-1] ^= 1
+	send(tampered, sig)
+	waitDrops("bad_digest", 1)
+	empty := wire.KeyUpdate{AreaID: "area-x", Epoch: res.Epoch}
+	emptyBody, _ := wire.PlainBody(empty)
+	send(emptyBody, keys.Sign(empty.AppendHeader(nil)))
+	waitDrops("bad_body", 1)
+
+	var got keytree.PathKeys
+	_ = m.call(func() { got = m.view.PathKeys() })
+	if m.Epoch() != epoch || !reflect.DeepEqual(got, keytree.PathKeys(base)) {
+		t.Fatalf("misdelivered parts moved the member: epoch %d (was %d)", m.Epoch(), epoch)
+	}
+	if n := tap.n.Load(); n != 0 {
+		t.Fatalf("misdelivered parts made the member send %d PathRequests", n)
+	}
+
+	send(cut.Body(mine), sig)
+	for deadline := time.Now().Add(10 * time.Second); m.Epoch() != res.Epoch; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the member's own part never applied")
+		}
+	}
+	var key crypt.SymKey
+	_ = m.call(func() { key = m.view.AreaKey() })
+	if !key.Equal(tree.AreaKey()) {
+		t.Fatal("own part applied, wrong area key")
+	}
+	if n := tap.n.Load(); n != 0 {
+		t.Fatalf("%d PathRequests sent", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"mykil/internal/clock"
 	"mykil/internal/crypt"
 	"mykil/internal/keytree"
+	"mykil/internal/obs"
 	"mykil/internal/simnet"
 	"mykil/internal/ticket"
 	"mykil/internal/transport"
@@ -277,23 +278,27 @@ func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
 	newKey := crypt.NewSymKey()
 	enc := keytree.NewSuiteEncryptor(nil)
 	entry := keytree.Entry{
-		Node: 1, Under: 1,
+		Node: 1, Under: 1, Scope: 1,
 		Ciphertext: enc.EncryptKeyTo(nil, path[0].Key, newKey),
 	}
-	body, err := wire.PlainBody(wire.KeyUpdate{AreaID: "area-x", Epoch: 2, Entries: []keytree.Entry{entry}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cut wire.KeyUpdateCut
+	cut.Encode("area-x", &keytree.KeyUpdate{Epoch: 2, Entries: []keytree.Entry{entry}, Root: 1}, []keytree.NodeID{1})
+	body := cut.Body(0)
 
-	// Forged signature: dropped.
-	r.ac.send("mem", wire.KindKeyUpdate, body, r.rsKeys.Sign(body))
-	time.Sleep(50 * time.Millisecond)
+	// Forged signature: dropped, and counted under its reason.
+	r.ac.send("mem", wire.KindKeyUpdate, body, r.rsKeys.Sign(cut.Header()))
+	dropped := obs.MetricKeyUpdateDropped("bad_signature")
+	for deadline := time.Now().Add(5 * time.Second); r.m.Stats().Snapshot()[dropped] != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the forged key update was never counted in %s", dropped)
+		}
+	}
 	if r.m.Epoch() != 1 {
 		t.Fatal("member applied a forged key update")
 	}
 
 	// Genuine signature: applied.
-	r.ac.send("mem", wire.KindKeyUpdate, body, r.acKeys.Sign(body))
+	r.ac.send("mem", wire.KindKeyUpdate, body, r.acKeys.Sign(cut.Header()))
 	deadline := time.Now().Add(5 * time.Second)
 	for r.m.Epoch() != 2 {
 		if time.Now().After(deadline) {

@@ -117,6 +117,7 @@ func (m *Member) handleKeyUpdate(f *wire.Frame) {
 	case errors.Is(err, keytree.ErrStale):
 		// Duplicate delivery; ignore.
 	default:
+		obs.KeyUpdateDropped(m.Stats(), wire.KeyUpdateDropReason(err))
 		m.cfg.Logf("%s: key update dropped: %v", m.cfg.ID, err)
 	}
 }

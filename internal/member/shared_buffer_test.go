@@ -90,13 +90,9 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 
 	// multicast sends one frame to every member and returns its shared
 	// encoding with the digest it had when it was handed to the network.
-	multicast := func(kind wire.Kind, body wire.Marshaler, sign bool) ([]byte, [sha256.Size]byte) {
+	multicast := func(kind wire.Kind, body, sig []byte) ([]byte, [sha256.Size]byte) {
 		t.Helper()
-		b, _ := wire.PlainBody(body)
-		f := &wire.Frame{Kind: kind, From: "ac", Body: b}
-		if sign {
-			f.Sig = acKeys.Sign(b)
-		}
+		f := &wire.Frame{Kind: kind, From: "ac", Body: body, Sig: sig}
 		shared, _ := f.Encode()
 		sum := sha256.Sum256(shared)
 		for _, id := range ids[:residents] {
@@ -121,8 +117,11 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rekey, rekeySum := multicast(wire.KindKeyUpdate,
-		wire.KeyUpdate{AreaID: "area-x", Epoch: res.Epoch, Entries: res.Update.Entries}, true)
+	// The uncut form (a scope table of just the root), so that all of them
+	// read the one buffer.
+	var cut wire.KeyUpdateCut
+	cut.Encode("area-x", res.Update, []keytree.NodeID{res.Update.Root})
+	rekey, rekeySum := multicast(wire.KindKeyUpdate, cut.Body(0), acKeys.Sign(cut.Header()))
 	waitFor("every member to apply the rekey", func() bool {
 		for _, m := range members {
 			if m.Epoch() != res.Epoch {
@@ -153,10 +152,11 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 	seq := uint64(0)
 	data := func(name string, tag wire.DataCipher, payload []byte) {
 		seq++
-		buf, sum := multicast(wire.KindData, wire.Data{
+		body, _ := wire.PlainBody(wire.Data{
 			Origin: "peer", OriginArea: "area-x", Seq: seq, FromArea: "area-x",
 			Cipher: tag, EncKey: encKey, Payload: payload,
-		}, false)
+		})
+		buf, sum := multicast(wire.KindData, body, nil)
 		shared["Data/"+name] = sharedBuf{buf, sum}
 	}
 	for _, s := range crypt.Suites() {

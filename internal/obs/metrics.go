@@ -524,3 +524,19 @@ const (
 	HelpReplBytes     = "Payload bytes shipped to replicas (snapshot or segment sync)."
 	HelpDataDropped   = "Data packets for the member's area it could not read: unknown cipher tag, data key that will not open, payload failing authentication."
 )
+
+// MetricKeyUpdateDropped names the counter of KeyUpdate frames a
+// receiver (a member, or a controller as a member of its parent's area)
+// refused for reason — a value of wire.KeyUpdateDropReason.
+func MetricKeyUpdateDropped(reason string) string {
+	return "mykil_keyupdate_dropped_" + reason + "_total"
+}
+
+// KeyUpdateDropped counts one refused KeyUpdate in r. The series is
+// registered by its first drop rather than at construction: drops are
+// rare and a deployment holds thousands of member registries, so an
+// absent series reads as zero.
+func KeyUpdateDropped(r *Registry, reason string) {
+	r.Counter(MetricKeyUpdateDropped(reason),
+		"KeyUpdate frames refused before any key changed, by reason: signature, body, area, part not cut for this receiver, part digest.").Inc()
+}

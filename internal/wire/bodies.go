@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -402,58 +405,224 @@ func (m *Data) ReadWire(r *codec.Reader) error {
 	return r.Err()
 }
 
-// AppendWire implements Marshaler.
-func (m KeyUpdate) AppendWire(b []byte) []byte {
+// keyUpdateScopeMinWire is the smallest encoded KeyUpdateScope: a
+// one-byte varint node ID plus the fixed-width digest.
+const keyUpdateScopeMinWire = 1 + sha256.Size
+
+// AppendHeader appends the update's header — area, epoch and scope
+// table. These are the bytes the controller signs, and every part of one
+// rekey carries them verbatim.
+func (m KeyUpdate) AppendHeader(b []byte) []byte {
 	b = codec.AppendString(b, m.AreaID)
 	b = codec.AppendUvarint(b, m.Epoch)
+	b = codec.AppendUvarint(b, uint64(len(m.Scopes)))
+	for i := range m.Scopes {
+		b = codec.AppendVarint(b, int64(m.Scopes[i].Node))
+		b = codec.AppendRaw(b, m.Scopes[i].Digest[:])
+	}
+	return b
+}
+
+// appendKeyUpdateFront appends what precedes the entry list in a
+// KindKeyUpdate frame body: the header as one length-prefixed field (so
+// a receiver can check its signature before decoding any of it) and the
+// part index.
+func appendKeyUpdateFront(b, header []byte, part int) []byte {
+	b = codec.AppendBytes(b, header)
+	return codec.AppendUvarint(b, uint64(part))
+}
+
+// AppendWire implements Marshaler.
+func (m KeyUpdate) AppendWire(b []byte) []byte {
+	b = appendKeyUpdateFront(b, m.AppendHeader(nil), m.Part)
 	return keytree.AppendEntries(b, m.Entries)
 }
 
-// ReadWire implements Unmarshaler. The entries' ciphertexts borrow the
+// ReadWire implements Unmarshaler. It decodes structure only — a part
+// index beyond the table, an empty table and a digest that does not match
+// are ReceiveKeyUpdate's to reject. The entries' ciphertexts borrow the
 // input (see keytree.ReadEntries).
 func (m *KeyUpdate) ReadWire(r *codec.Reader) error {
-	m.AreaID = r.String()
-	m.Epoch = r.Uvarint()
+	header := r.BorrowBytes()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	hr := codec.NewReader(header)
+	m.AreaID = hr.String()
+	m.Epoch = hr.Uvarint()
+	m.Scopes = nil
+	if n := hr.Count(keyUpdateScopeMinWire); n > 0 {
+		m.Scopes = make([]KeyUpdateScope, n)
+		for i := range m.Scopes {
+			m.Scopes[i].Node = keytree.NodeID(hr.Varint())
+			copy(m.Scopes[i].Digest[:], hr.BorrowRaw(sha256.Size))
+		}
+	}
+	if err := hr.Finish(); err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	part := r.Uvarint()
+	if part > math.MaxInt32 {
+		return fmt.Errorf("%w: part index %d", codec.ErrValue, part)
+	}
+	m.Part = int(part)
 	var err error
 	m.Entries, err = keytree.ReadEntries(r)
 	return err
 }
 
+// KeyUpdateCut is the send side of a KindKeyUpdate: one rekey encoded as
+// the header to sign and one frame body per scope. The zero value is
+// ready to use, and Encode reuses its buffers, so a controller keeps one.
+type KeyUpdateCut struct {
+	header []byte
+	scopes []KeyUpdateScope
+	lists  []byte // every part's entry list, back to back
+	ends   []int  // part i's list ends at lists[ends[i]]
+}
+
+// Encode cuts u by scopes — u.Scopes for one part per touched root
+// subtree, or the single scope u.Root for the whole-area form a true
+// multicast transport would send — and hashes each part's entry list
+// into the header's scope table.
+func (c *KeyUpdateCut) Encode(areaID string, u *keytree.KeyUpdate, scopes []keytree.NodeID) {
+	c.lists, c.ends, c.scopes = c.lists[:0], c.ends[:0], c.scopes[:0]
+	for i, node := range scopes {
+		c.lists = u.AppendPart(c.lists, scopes, i)
+		c.ends = append(c.ends, len(c.lists))
+		c.scopes = append(c.scopes, KeyUpdateScope{Node: node, Digest: sha256.Sum256(c.list(i))})
+	}
+	c.header = KeyUpdate{AreaID: areaID, Epoch: u.Epoch, Scopes: c.scopes}.AppendHeader(c.header[:0])
+}
+
+// list returns part i's encoded entry list.
+func (c *KeyUpdateCut) list(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = c.ends[i-1]
+	}
+	return c.lists[start:c.ends[i]]
+}
+
+// Header returns the bytes the controller signs, once, for every part.
+// Valid until the next Encode.
+func (c *KeyUpdateCut) Header() []byte { return c.header }
+
+// Body returns a fresh frame body carrying part i, for the members whose
+// first listed scope is scopes[i].
+func (c *KeyUpdateCut) Body(i int) []byte {
+	list := c.list(i)
+	b := make([]byte, 0, len(c.header)+len(list)+2*binary.MaxVarintLen32)
+	return codec.AppendRaw(appendKeyUpdateFront(b, c.header, i), list)
+}
+
 // ReceiveKeyUpdate is the receive side of a KindKeyUpdate frame, shared
 // by its two receivers (a member, and a controller as a member of its
-// parent's area). f must be signed by signer (§III-E) — checked before a
-// byte of the body is decoded — and name areaID; its entries are then
-// streamed out of the frame into view (keytree.MemberView.ApplyWire), so
-// no KeyUpdate value is built and f.Body is only read.
+// parent's area). The frame's header must be signed by signer (§III-E) —
+// checked before a byte of it is decoded — and name areaID; the part the
+// frame carries must be the one cut for this receiver, the first listed
+// scope on view's path, and hash to the digest the header lists for it.
+// Its entries are then streamed out of the frame into view
+// (keytree.MemberView.ApplyWire), so no KeyUpdate value is built and
+// f.Body is only read.
 //
 // It returns the update's epoch and nil once view stands at it;
 // keytree.ErrStale for a duplicate delivery, to ignore;
 // keytree.ErrEpochGap when updates were missed and the receiver must
-// recover its path; and crypt.ErrBadSignature, ErrBadBody or
-// ErrWrongArea for a frame to drop. view is unchanged on every error.
+// recover its path; and crypt.ErrBadSignature, ErrBadBody, ErrWrongArea,
+// ErrWrongPart or ErrBadDigest for a frame to drop (KeyUpdateDropReason
+// names them for counting). view is unchanged on every error.
 func ReceiveKeyUpdate(f *Frame, signer crypt.PublicKey, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	if err := signer.Verify(f.Body, f.Sig); err != nil {
+	header, part, list, err := splitKeyUpdate(f.Body)
+	if err != nil {
 		return 0, err
 	}
-	return applyKeyUpdate(f.Body, areaID, view)
+	if err := signer.Verify(header, f.Sig); err != nil {
+		return 0, err
+	}
+	return applyKeyUpdate(header, part, list, areaID, view)
+}
+
+// splitKeyUpdate frames a body into its signed header, part index and
+// entry list without decoding any of the three.
+func splitKeyUpdate(body []byte) (header []byte, part uint64, list []byte, err error) {
+	r := codec.NewReader(body)
+	header = r.BorrowBytes()
+	part = r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, 0, nil, fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	return header, part, r.BorrowRaw(r.Len()), nil
 }
 
 // applyKeyUpdate is ReceiveKeyUpdate after the signature check.
-func applyKeyUpdate(body []byte, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	r := codec.NewReader(body)
-	area := r.BorrowBytes()
-	epoch = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadBody, err)
+func applyKeyUpdate(header []byte, part uint64, list []byte, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
+	epoch, err = checkKeyUpdatePart(header, part, list, areaID, view)
+	if err != nil {
+		return epoch, err
 	}
-	if string(area) != areaID {
-		return epoch, ErrWrongArea
-	}
-	_, err = view.ApplyWire(epoch, r)
+	_, err = view.ApplyWire(epoch, codec.NewReader(list))
 	if err != nil && !errors.Is(err, keytree.ErrStale) && !errors.Is(err, keytree.ErrEpochGap) {
 		err = fmt.Errorf("%w: %v", ErrBadBody, err)
 	}
 	return epoch, err
+}
+
+// checkKeyUpdatePart decodes a verified header and checks that list is
+// the part it assigns to view's member: the first listed scope on the
+// member's path must be the frame's part, and list must hash to the
+// digest listed for it.
+func checkKeyUpdatePart(header []byte, part uint64, list []byte, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
+	r := codec.NewReader(header)
+	area := r.BorrowBytes()
+	epoch = r.Uvarint()
+	n := r.Count(keyUpdateScopeMinWire)
+	mine, want := -1, []byte(nil)
+	for i := 0; i < n; i++ {
+		node := keytree.NodeID(r.Varint())
+		digest := r.BorrowRaw(sha256.Size)
+		if mine < 0 && view.OnPath(node) {
+			mine, want = i, digest
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return 0, fmt.Errorf("%w: header: %v", ErrBadBody, err)
+	}
+	if string(area) != areaID {
+		return epoch, ErrWrongArea
+	}
+	if n == 0 {
+		return epoch, fmt.Errorf("%w: header lists no scope", ErrBadBody)
+	}
+	if mine < 0 || uint64(mine) != part {
+		return epoch, fmt.Errorf("%w: carries part %d of %d, receiver's is %d", ErrWrongPart, part, n, mine)
+	}
+	if got := sha256.Sum256(list); !bytes.Equal(got[:], want) {
+		return epoch, fmt.Errorf("%w: key update part %d", ErrBadDigest, part)
+	}
+	return epoch, nil
+}
+
+// KeyUpdateDropReason names why ReceiveKeyUpdate refused a frame, for the
+// receivers' per-reason drop counters (obs.KeyUpdateDropped):
+// "bad_signature", "bad_body", "wrong_area", "wrong_part" or
+// "bad_digest"; "" for nil and for the two outcomes that are not drops,
+// keytree.ErrStale and keytree.ErrEpochGap.
+func KeyUpdateDropReason(err error) string {
+	switch {
+	case err == nil, errors.Is(err, keytree.ErrStale), errors.Is(err, keytree.ErrEpochGap):
+		return ""
+	case errors.Is(err, ErrWrongArea):
+		return "wrong_area"
+	case errors.Is(err, ErrWrongPart):
+		return "wrong_part"
+	case errors.Is(err, ErrBadDigest):
+		return "bad_digest"
+	case errors.Is(err, ErrBadBody):
+		return "bad_body"
+	default:
+		return "bad_signature"
+	}
 }
 
 // AppendWire implements Marshaler.

@@ -249,6 +249,14 @@ func (r *Reader) String() string {
 
 // Raw reads n unprefixed bytes into a fresh slice.
 func (r *Reader) Raw(n int) []byte {
+	return bytes.Clone(r.BorrowRaw(n))
+}
+
+// BorrowRaw reads n unprefixed bytes without copying, under
+// BorrowBytes' rules: the result is a capacity-clipped window onto the
+// Reader's input, for fixed-width fields (a digest) compared or copied
+// out before the decoder's caller returns.
+func (r *Reader) BorrowRaw(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -256,8 +264,7 @@ func (r *Reader) Raw(n int) []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }

@@ -216,3 +216,25 @@ func TestBorrowBytesAliasesInput(t *testing.T) {
 		t.Errorf("truncated input: %v, err %v, want nil and ErrLength", v, r.Err())
 	}
 }
+
+// TestBorrowRawAliasesInput: the fixed-width borrow is a clipped window
+// like BorrowBytes', and Raw stays its copying form.
+func TestBorrowRawAliasesInput(t *testing.T) {
+	src := []byte{1, 2, 3, 4, 0x42}
+	r := NewReader(src)
+	got := r.BorrowRaw(4)
+	if &got[0] != &src[0] || len(got) != 4 || cap(got) != 4 {
+		t.Fatalf("BorrowRaw = %v (cap %d), want a 4-byte window at src[0:4]", got, cap(got))
+	}
+	_ = append(got, 0x99)
+	if v := r.Byte(); v != 0x42 {
+		t.Errorf("append to a borrowed field overwrote the next one: %#x", v)
+	}
+	r = NewReader(src)
+	if cp := r.Raw(4); &cp[0] == &src[0] || !bytes.Equal(cp, src[:4]) {
+		t.Errorf("Raw = %v, want a copy of src[0:4]", cp)
+	}
+	if v := r.BorrowRaw(2); v != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("2 bytes of 1: %v, err %v, want nil and ErrTruncated", v, r.Err())
+	}
+}

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"mykil/internal/keytree"
 )
 
 // FuzzDecodeFrame hardens the transport-facing decoder: arbitrary bytes
@@ -17,6 +19,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// A cut KeyUpdate part: the frame whose body nests a signed header.
+	ku, err := PlainBody(fuzzKeyUpdate)
+	if err != nil {
+		f.Fatal(err)
+	}
+	part, err := (&Frame{Kind: KindKeyUpdate, From: "ac", Body: ku, Sig: []byte("s")}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(part)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Add(make([]byte, 1024))
@@ -54,6 +66,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// fuzzKeyUpdate seeds both fuzzers with the cut KeyUpdate layout: a
+// two-scope table, the second part, two entries.
+var fuzzKeyUpdate = KeyUpdate{AreaID: "a", Epoch: 3,
+	Scopes: []KeyUpdateScope{{Node: 2, Digest: [32]byte{1}}, {Node: 0, Digest: [32]byte{2}}},
+	Part:   1,
+	Entries: []keytree.Entry{
+		{Node: 5, Under: 9, Ciphertext: []byte{0xE1}},
+		{Node: 0, Under: 0, Ciphertext: []byte{0xE2, 0xE3}},
+	}}
+
 // FuzzDecodePlain hardens every registered body decoder against hostile
 // payloads: arbitrary bytes must return an error or a value that
 // re-encodes without panicking, and claimed element counts must never
@@ -61,6 +83,7 @@ func FuzzDecodeFrame(f *testing.F) {
 func FuzzDecodePlain(f *testing.F) {
 	for _, m := range []Marshaler{
 		KeyUpdate{AreaID: "a", Epoch: 3},
+		fuzzKeyUpdate,
 		ACAlive{AreaID: "a", Epoch: 1},
 		JoinWelcome{AreaID: "a", TicketBlob: []byte{1}},
 	} {
@@ -71,8 +94,11 @@ func FuzzDecodePlain(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte("x"))
-	// A KeyUpdate-shaped prefix claiming 2^32 entries.
-	f.Add(append([]byte{0x01, 'a', 0x01}, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
+	// KeyUpdate-shaped prefixes claiming 2^32 entries, and 2^32 scopes
+	// inside the nested header.
+	header := KeyUpdate{AreaID: "a", Epoch: 1}.AppendHeader(nil)
+	f.Add(append(appendKeyUpdateFront(nil, header, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
+	f.Add(appendKeyUpdateFront(nil, append(header[:len(header)-1], 0xFF, 0xFF, 0xFF, 0xFF, 0x0F), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range liveKinds() {
 			body, ok := NewBody(k)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -36,6 +37,14 @@ func goldenKey(seed byte) crypt.SymKey {
 		k[i] = seed + byte(i)
 	}
 	return k
+}
+
+// goldenDigest returns a deterministic SHA-256-sized value.
+func goldenDigest(seed byte) (d [sha256.Size]byte) {
+	for i := range d {
+		d[i] = seed + byte(i)
+	}
+	return d
 }
 
 func goldenPath() []keytree.PathKey {
@@ -79,10 +88,13 @@ func goldenBodies() map[Kind]Marshaler {
 		KindRejoinDenied: RejoinDenied{ClientID: "c1", Reason: "cohort"},
 		KindData: Data{Origin: "m1", OriginArea: "area-0", Seq: 5, FromArea: "area-1",
 			Cipher: CipherAES, EncKey: []byte{9, 9, 9}, Payload: []byte("payload")},
-		KindKeyUpdate: KeyUpdate{AreaID: "area-0", Epoch: 14, Entries: []keytree.Entry{
-			{Node: 7, Under: 9, Ciphertext: []byte{0xE1, 0xE2}},
-			{Node: 3, Under: 3, Ciphertext: []byte{0xE3}},
-		}},
+		KindKeyUpdate: KeyUpdate{AreaID: "area-0", Epoch: 14,
+			Scopes: []KeyUpdateScope{{Node: 3, Digest: goldenDigest(0x40)}, {Node: 1, Digest: goldenDigest(0x60)}},
+			Part:   1,
+			Entries: []keytree.Entry{
+				{Node: 7, Under: 9, Ciphertext: []byte{0xE1, 0xE2}},
+				{Node: 3, Under: 3, Ciphertext: []byte{0xE3}},
+			}},
 		KindPathUpdate:  PathUpdate{AreaID: "area-0", Epoch: 15, Path: goldenPath()},
 		KindACAlive:     ACAlive{AreaID: "area-0", Epoch: 16},
 		KindMemberAlive: MemberAlive{MemberID: "m1"},

@@ -158,6 +158,7 @@ var (
 	ErrBadBody   = errors.New("wire: body does not decode")
 	ErrBadDigest = errors.New("wire: body integrity digest mismatch")
 	ErrWrongArea = errors.New("wire: key update names another area")
+	ErrWrongPart = errors.New("wire: key update part was not cut for this receiver")
 )
 
 // Frame is the unit handed to the transport.
@@ -508,10 +509,29 @@ type Data struct {
 // KeyUpdate is the multicast rekey message. The frame carrying it is
 // signed with the area controller's private key (§III-E: "each key update
 // message is signed using the private key of the area controller").
+//
+// A rekey is cut per root subtree: the signed part is a header naming
+// the area, the epoch and one scope per part, and a frame carries that
+// header with one part's entries — Scopes[Part]'s. One signature thus
+// covers every part, and a member is sent only the entries its own
+// subtree can open. A single scope, the tree's root, is the uncut form.
 type KeyUpdate struct {
-	AreaID  string
-	Epoch   uint64
+	AreaID string
+	Epoch  uint64
+	// Scopes is the signed table: root children with entries of their
+	// own first, the root last.
+	Scopes []KeyUpdateScope
+	// Part indexes Scopes: the part whose entries this frame carries.
+	Part    int
 	Entries []keytree.Entry
+}
+
+// KeyUpdateScope is one row of a KeyUpdate's scope table: the part for
+// the members whose first listed scope on their root path is Node, and
+// the SHA-256 of that part's keytree.AppendEntries encoding.
+type KeyUpdateScope struct {
+	Node   keytree.NodeID
+	Digest [sha256.Size]byte
 }
 
 // PathUpdate delivers fresh path keys to a single member, sealed to its

@@ -17,7 +17,7 @@ var (
 	testKPInit bool
 )
 
-func keyPair(t *testing.T) *crypt.KeyPair {
+func keyPair(t testing.TB) *crypt.KeyPair {
 	t.Helper()
 	if !testKPInit {
 		testKP, testKPErr = crypt.GenerateKeyPair(1024)
