@@ -10,7 +10,7 @@
 //	mykil-bench -exp joinlat -rsabits 2048 -latency 2ms -iters 5
 //
 // Experiments: storage cpu fig8 fig9 fig10 joinlat protocost rc4 batching
-// arity prune flush model fanout journal groupcommit all. An unknown name
+// arity prune flush model fanout journal suites all. An unknown name
 // exits 2 with the list. Add -csv for machine-readable output.
 //
 // Whole-deployment measurements (join storms at scale, controller
@@ -34,7 +34,7 @@ func main() {
 
 func run() int {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: storage|cpu|fig8|fig9|fig10|joinlat|protocost|rc4|batching|arity|prune|flush|model|fanout|journal|groupcommit|all")
+		exp     = flag.String("exp", "all", "experiment to run: storage|cpu|fig8|fig9|fig10|joinlat|protocost|rc4|batching|arity|prune|flush|model|fanout|journal|suites|all")
 		n       = flag.Int("n", bench.PaperGroupSize, "group size")
 		arity   = flag.Int("arity", bench.PaperArity, "auxiliary-key-tree arity (paper's byte arithmetic: 2)")
 		rsaBits = flag.Int("rsabits", 2048, "RSA modulus bits for the latency experiment")
@@ -226,19 +226,13 @@ func run() int {
 		return nil
 	})
 
-	runExp("groupcommit", func() error {
-		srows, err := bench.SuiteRekey(0, 0, 0)
+	runExp("suites", func() error {
+		rows, err := bench.SuiteRekey(0, 0, 0)
 		if err != nil {
 			return err
 		}
-		printTable(bench.SuiteRekeyTable(srows))
-		verdict(bench.SuiteRekeyPoolingHolds(srows), "pooled rekey construction leaner than allocating, for every suite")
-		grows, err := bench.GroupCommitThroughput(0, 0)
-		if err != nil {
-			return err
-		}
-		printTable(bench.GroupCommitTable(grows, 0))
-		verdict(bench.GroupCommitSpeedupHolds(grows, 10), "group commit ≥10x the fsync=always single-writer baseline at equal durability")
+		printTable(bench.SuiteRekeyTable(rows))
+		verdict(bench.SuiteRekeyPoolingHolds(rows), "pooled rekey construction leaner than allocating, for every suite")
 		return nil
 	})
 

@@ -6,7 +6,7 @@
 //
 // Usage: mykilnet [-areas N] [-members N] [-messages N] [-rsabits N]
 // [-churn N] [-replicas N] [-split-at N] [-merge-at N]
-// [-suite legacy|aes-gcm|chacha20-poly1305] [-fsync always|interval|never|group]
+// [-suite legacy|aes-gcm|chacha20-poly1305] [-fsync always|interval|never]
 // [-metrics-addr HOST:PORT] [-trace FILE] [-linger D]
 // [-simnet [-shards N] [-latency D]]
 //
@@ -61,7 +61,7 @@ func run() error {
 		tracePath   = flag.String("trace", "", "append protocol trace events to this file as JSON lines")
 		linger      = flag.Duration("linger", 0, "keep the group (and metrics endpoint) up this long after the run")
 		jdir        = flag.String("journal-dir", "", "enable durable journaling under this directory; rerunning with the same directory restarts the group from its journals")
-		fsync       = flag.String("fsync", "always", "journal sync policy: always, interval, never, or group (concurrent appends share fsyncs at full durability)")
+		fsync       = flag.String("fsync", "always", "journal sync policy: always, interval or never")
 		suite       = flag.String("suite", "", "cipher suite for key-tree, data-key and payload sealing: legacy (default), aes-gcm, or chacha20-poly1305")
 		segBytes    = flag.Int64("segment-bytes", 0, "journal segment rotation threshold (0 = default)")
 		replicas    = flag.Int("replicas", 0, "replicas per controller running quorum leader election (0 = none; needs -journal-dir)")

@@ -5,7 +5,6 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"mykil/internal/core"
@@ -100,168 +99,6 @@ func JournalThroughputTable(rows []JournalThroughputRow, payloadBytes int) *Tabl
 		})
 	}
 	return t
-}
-
-// GroupCommitRow reports concurrent append throughput for one
-// (policy, writers) cell of the group-commit comparison.
-type GroupCommitRow struct {
-	Policy  journal.FsyncPolicy
-	Writers int
-	Stall   time.Duration
-	Records int
-	Elapsed time.Duration
-	Syncs   int64
-}
-
-// RecsPerSec is the append rate.
-func (r GroupCommitRow) RecsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Records) / r.Elapsed.Seconds()
-}
-
-// GroupCommitThroughput measures concurrent-appender throughput at equal
-// durability (every Append durable before it returns): FsyncAlways pays
-// one fsync per record regardless of concurrency, while FsyncGroup
-// coalesces concurrent appends into shared fsyncs. The E16 rows.
-//
-// Each cell is time-boxed rather than record-counted: every writer
-// appends until the shared deadline and the cell reports what landed.
-// A fixed per-writer quota would instead measure the end-of-run tail —
-// once most writers finish, the stragglers fsync nearly alone and the
-// aggregate ratio collapses, which says nothing about the steady state
-// a controller's journal actually runs in. windowMS is the per-cell
-// measurement window in milliseconds (0 picks a default); short windows
-// report mostly fsync-latency noise, so the default errs long.
-func GroupCommitThroughput(windowMS, payloadBytes int) ([]GroupCommitRow, error) {
-	if windowMS == 0 {
-		windowMS = 3000
-	}
-	window := time.Duration(windowMS) * time.Millisecond
-	if payloadBytes == 0 {
-		payloadBytes = 256
-	}
-	payload := make([]byte, payloadBytes)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	cells := []struct {
-		policy  journal.FsyncPolicy
-		writers int
-		stall   time.Duration
-	}{
-		{journal.FsyncAlways, 1, 0},
-		{journal.FsyncAlways, 16, 0},
-		{journal.FsyncGroup, 1, 0},
-		{journal.FsyncGroup, 16, 0},
-		{journal.FsyncGroup, 64, 0},
-		{journal.FsyncGroup, 128, 0},
-		{journal.FsyncGroup, 256, 0},
-		// A sub-millisecond stall lets a round's leader gather the whole
-		// herd before capturing its target LSN, trading per-record latency
-		// for deeper coalescing (fewer disk flushes per record).
-		{journal.FsyncGroup, 64, 500 * time.Microsecond},
-	}
-	var rows []GroupCommitRow
-	for _, cell := range cells {
-		dir, err := os.MkdirTemp("", "mykil-groupcommit-bench-*")
-		if err != nil {
-			return nil, err
-		}
-		j, _, err := journal.Open(journal.Options{Dir: dir, Fsync: cell.policy, GroupStall: cell.stall})
-		if err != nil {
-			_ = os.RemoveAll(dir)
-			return nil, err
-		}
-		var wg sync.WaitGroup
-		errc := make(chan error, cell.writers)
-		start := time.Now()
-		deadline := start.Add(window)
-		for w := 0; w < cell.writers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					if _, err := j.Append(payload); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errc)
-		for err := range errc {
-			_ = j.Close()
-			_ = os.RemoveAll(dir)
-			return nil, err
-		}
-		rows = append(rows, GroupCommitRow{
-			Policy:  cell.policy,
-			Writers: cell.writers,
-			Stall:   cell.stall,
-			Records: int(j.Appends()),
-			Elapsed: elapsed,
-			Syncs:   j.Syncs(),
-		})
-		_ = j.Close()
-		_ = os.RemoveAll(dir)
-	}
-	return rows, nil
-}
-
-// GroupCommitTable renders the group-commit comparison.
-func GroupCommitTable(rows []GroupCommitRow, payloadBytes int) *Table {
-	if payloadBytes == 0 {
-		payloadBytes = 256
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("E16 group commit: concurrent appends at full durability (%d-byte records)", payloadBytes),
-		Headers: []string{"fsync policy", "writers", "stall", "records", "elapsed", "records/s", "fsyncs", "recs/fsync"},
-		Notes: []string{
-			"both policies guarantee the record is on stable storage before Append returns",
-			"group: the round leader fsyncs once for every record written before its sync completes",
-		},
-	}
-	for _, r := range rows {
-		perSync := float64(r.Records)
-		if r.Syncs > 0 {
-			perSync = float64(r.Records) / float64(r.Syncs)
-		}
-		stall := "-"
-		if r.Stall > 0 {
-			stall = r.Stall.String()
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Policy.String(),
-			fmt.Sprint(r.Writers),
-			stall,
-			fmt.Sprint(r.Records),
-			r.Elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", r.RecsPerSec()),
-			fmt.Sprint(r.Syncs),
-			fmt.Sprintf("%.1f", perSync),
-		})
-	}
-	return t
-}
-
-// GroupCommitSpeedupHolds checks the E16 claim: at the highest measured
-// concurrency, group commit beats the serial fsync=always baseline by at
-// least the given factor at equal durability.
-func GroupCommitSpeedupHolds(rows []GroupCommitRow, factor float64) bool {
-	var base, best float64
-	for _, r := range rows {
-		if r.Policy == journal.FsyncAlways && r.Writers == 1 {
-			base = r.RecsPerSec()
-		}
-		if r.Policy == journal.FsyncGroup && r.RecsPerSec() > best {
-			best = r.RecsPerSec()
-		}
-	}
-	return base > 0 && best >= base*factor
 }
 
 // FsyncOrderingHolds checks the expected cost ordering: relaxing the

@@ -115,7 +115,7 @@ func WithOpTimeout(d time.Duration) Option { return func(c *config) { c.OpTimeou
 // each controller journals under <dir>/<acID>, the registration server
 // under <dir>/rs, and a replica that wins an election continues its
 // controller's log under <dir>/<replicaID>. fsyncPolicy is "always",
-// "interval", "group" or "never" ("" means always). New first recovers
+// "interval" or "never" ("" means always). New first recovers
 // whatever those journals hold, so building a group over an existing
 // dir is a restart, not a fresh deployment.
 func WithJournal(dir, fsyncPolicy string) Option {

@@ -33,14 +33,7 @@ type Export struct {
 func (j *Journal) ExportFrom(fromLSN uint64) (*Export, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return nil, ErrClosed
-	}
-	// The segment walk below reads the live files and expects every
-	// assigned LSN to be on disk; under FsyncGroup, records may still sit
-	// in the pending pile, so wait out any round in flight and flush.
-	j.awaitGroupIdleLocked()
-	if err := j.flushPendingLocked(); err != nil {
+	if err := j.usableLocked(); err != nil {
 		return nil, err
 	}
 	if fromLSN == 0 {

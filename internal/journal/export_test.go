@@ -92,7 +92,7 @@ func TestExportFrom(t *testing.T) {
 // serve exports to lagging readers from either side of the baseline, and
 // replace whatever the directory held before.
 func TestInstallContinuesLog(t *testing.T) {
-	for _, fsync := range []FsyncPolicy{FsyncAlways, FsyncNever, FsyncGroup} {
+	for _, fsync := range []FsyncPolicy{FsyncAlways, FsyncNever} {
 		t.Run(fsync.String(), func(t *testing.T) {
 			opts := Options{Dir: t.TempDir(), Fsync: fsync}
 			// A stale log from an earlier incarnation must not survive.

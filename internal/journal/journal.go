@@ -18,6 +18,13 @@
 // write is detectable at any byte offset. Fsync policy is configurable:
 // FsyncAlways survives power loss per record, FsyncInterval bounds loss to
 // a time window, FsyncNever leaves flushing to the OS.
+//
+// A failed segment write or fsync is sticky: the handle refuses all
+// further work with that error. A short write leaves a torn frame that a
+// later append must not land behind, and an fsync retried after a failure
+// can report success for pages the kernel already dropped; the caller
+// reopens the directory, and recovery keeps exactly the acknowledged
+// prefix.
 package journal
 
 import (
@@ -25,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -46,14 +52,6 @@ const (
 	// FsyncNever leaves flushing to the operating system. Process
 	// crashes lose nothing (the OS holds the pages); power loss may.
 	FsyncNever
-	// FsyncGroup coalesces concurrent appends into shared pile writes
-	// and shared fsyncs (group commit): appends land in an in-memory
-	// pile and join a round; each round's leader writes the whole pile
-	// with one syscall and syncs once, while the next round gathers
-	// under its sync window. Durability equals FsyncAlways — no Append
-	// returns before its record is on stable storage — but N concurrent
-	// appenders share O(1) write+fsync pairs instead of paying N.
-	FsyncGroup
 )
 
 // String returns the policy's config-file spelling.
@@ -65,25 +63,24 @@ func (p FsyncPolicy) String() string {
 		return "interval"
 	case FsyncNever:
 		return "never"
-	case FsyncGroup:
-		return "group"
 	}
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
-// ParseFsyncPolicy parses "always", "interval", "never", or "group".
+// ParseFsyncPolicy parses "always", "interval" or "never".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {
-	case "always", "":
+	// "group" named a group-commit policy with FsyncAlways's durability
+	// promise; it is gone, and the spelling stays only because benchmark/
+	// still passes it. String never prints it.
+	case "always", "", "group":
 		return FsyncAlways, nil
 	case "interval":
 		return FsyncInterval, nil
 	case "never":
 		return FsyncNever, nil
-	case "group":
-		return FsyncGroup, nil
 	}
-	return 0, fmt.Errorf("journal: unknown fsync policy %q (want always|interval|never|group)", s)
+	return 0, fmt.Errorf("journal: unknown fsync policy %q (want always|interval|never)", s)
 }
 
 // Defaults for zero-valued Options fields.
@@ -108,16 +105,6 @@ type Options struct {
 	// segments are deleted once covered by the oldest kept snapshot);
 	// 0 means 2, so one corrupt snapshot never strands recovery.
 	KeepSnapshots int
-	// GroupStall bounds how long an FsyncGroup leader dallies before
-	// issuing its fsync, giving concurrent appenders time to pile onto
-	// the round. The leader yields the scheduler in a loop and stops
-	// early once no new appends arrive between yields (the herd has
-	// drained), so GroupStall is a ceiling, not a fixed delay. Zero
-	// (the default) means no deliberate stall: the leader syncs
-	// immediately and still absorbs every record written while the
-	// previous sync was in flight — the natural batch. Only meaningful
-	// under FsyncGroup.
-	GroupStall time.Duration
 	// Logf, if set, receives recovery and compaction notes.
 	Logf func(format string, args ...any)
 	// Clock drives the FsyncInterval policy; nil means the wall clock.
@@ -169,8 +156,7 @@ func (r *Recovery) Empty() bool {
 }
 
 // Journal is an open write-ahead log. Safe for concurrent appenders;
-// methods lock internally. Under FsyncGroup, concurrent Appends
-// coalesce their fsyncs (see FsyncGroup).
+// methods lock internally.
 type Journal struct {
 	opts Options
 
@@ -183,37 +169,13 @@ type Journal struct {
 	snaps    []uint64 // through-LSNs of on-disk snapshots, ascending
 	segStats []uint64 // first LSNs of on-disk segments, ascending (incl. active)
 	closed   bool
-
-	// Group commit (FsyncGroup). The leader drops mu for the physical
-	// fsync; rotation and close wait out an in-flight round first so the
-	// segment handle never changes under it.
-	gcCond      *sync.Cond // signaled when a round's sync completes or the journal closes
-	gcSyncing   bool       // a leader's pile write + fsync is in flight
-	gcSyncedLSN uint64     // highest LSN proven durable
-	gcGather    *gcRound   // round still accepting members, nil when none
-	// Under FsyncGroup, appends land in gcPending instead of the segment
-	// file; the round leader writes the whole pile with one syscall
-	// before its one fsync, so per-record cost is an encode plus a
-	// memcpy. An acked record is always flushed and synced; a buffered
-	// record belongs to an Append that has not returned, which a crash
-	// may legally lose. gcSpare is the double buffer the leader swaps in
-	// so appends keep piling while it writes.
-	gcPending []byte
-	gcSpare   []byte
+	failed   error // first segment write or fsync error; sticky
 
 	appends   int64
 	syncs     int64
 	snapshots int64
 
 	scratch []byte
-}
-
-// gcRound is one group-commit round. Its leader closes done exactly
-// once, after err is set; followers block on done without touching the
-// journal mutex again.
-type gcRound struct {
-	done chan struct{}
-	err  error // read only after done is closed
 }
 
 // Open creates or recovers the journal in opts.Dir. The returned Recovery
@@ -229,7 +191,6 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		return nil, nil, fmt.Errorf("journal: creating dir: %w", err)
 	}
 	j := &Journal{opts: opts, nextLSN: 1}
-	j.gcCond = sync.NewCond(&j.mu)
 	rec, err := j.recover()
 	if err != nil {
 		return nil, nil, err
@@ -267,219 +228,67 @@ func (j *Journal) Syncs() int64 {
 // ErrClosed reports use of a closed journal.
 var ErrClosed = errors.New("journal: closed")
 
+// usableLocked reports why the handle takes no more work: it is closed,
+// or an earlier write or fsync failed.
+func (j *Journal) usableLocked() error {
+	if j.closed {
+		return ErrClosed
+	}
+	return j.failed
+}
+
 // Append writes one record and applies the fsync policy. It returns the
-// record's LSN.
+// record's LSN. Any error fails the handle for good (see the package
+// comment) and leaves the LSN where it was.
 func (j *Journal) Append(payload []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return 0, ErrClosed
+	if err := j.usableLocked(); err != nil {
+		return 0, err
 	}
-	if j.segSize >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			return 0, err
-		}
+	if err := j.appendLocked(payload); err != nil {
+		j.failed = err
+		return 0, err
 	}
-	j.scratch = AppendRecord(j.scratch[:0], payload)
-	if j.opts.Fsync == FsyncGroup {
-		// Buffer the encoded record; the round leader (or any flush
-		// point) writes the pile in one syscall. segSize still counts
-		// the logical segment size so rotation fires on schedule.
-		j.gcPending = append(j.gcPending, j.scratch...)
-	} else if _, err := j.seg.Write(j.scratch); err != nil {
-		return 0, fmt.Errorf("journal: appending record %d: %w", j.nextLSN, err)
-	}
-	j.segSize += int64(len(j.scratch))
 	lsn := j.nextLSN
 	j.nextLSN++
 	j.appends++
-	ride, err := j.maybeSyncLocked(lsn)
-	if err != nil {
-		return 0, err
-	}
-	if ride != nil {
-		// A group-commit round is gathering and will cover this record;
-		// block on its done channel with the lock released, so a record
-		// costs one lock hold however deep the pile is.
-		j.mu.Unlock()
-		<-ride.done
-		j.mu.Lock()
-		if ride.err != nil {
-			return 0, ride.err
-		}
-	}
 	return lsn, nil
 }
 
-// maybeSyncLocked applies the fsync policy after appending record lsn.
-// Under FsyncGroup it may return a gathering round instead of blocking:
-// the caller must release the lock and wait on the round's done channel.
-func (j *Journal) maybeSyncLocked(lsn uint64) (*gcRound, error) {
+// appendLocked is Append's I/O: rotate if due, encode, write, then sync
+// as the policy says.
+func (j *Journal) appendLocked(payload []byte) error {
+	if j.segSize >= j.opts.SegmentBytes {
+		if err := j.rotateLocked(); err != nil {
+			return err
+		}
+	}
+	j.scratch = AppendRecord(j.scratch[:0], payload)
+	if _, err := j.seg.Write(j.scratch); err != nil {
+		return fmt.Errorf("journal: appending record %d: %w", j.nextLSN, err)
+	}
+	j.segSize += int64(len(j.scratch))
 	switch j.opts.Fsync {
 	case FsyncAlways:
-		return nil, j.syncLocked()
+		return j.syncLocked()
 	case FsyncInterval:
 		if j.opts.Clock.Now().Sub(j.lastSync) >= j.opts.FsyncEvery {
-			return nil, j.syncLocked()
+			return j.syncLocked()
 		}
-	case FsyncGroup:
-		return j.groupSyncLocked(lsn)
-	}
-	return nil, nil
-}
-
-// groupSyncLocked drives record lsn toward stable storage, sharing
-// fsyncs with concurrent appenders. The first arrival with no round
-// gathering leads one: it waits out the previous round's sync — that
-// fsync window is this round's natural gather window — optionally
-// dallies GroupStall, then captures its target and pile, syncs once,
-// and publishes the outcome by closing the round's done channel,
-// returning (nil, err). An arrival while a round gathers rides it:
-// the gathering round is returned for the caller to wait on after
-// releasing the lock (its leader captures its target only after
-// leaving the gather phase, so it covers this record). Followers thus
-// block on a channel, not on the mutex.
-func (j *Journal) groupSyncLocked(lsn uint64) (*gcRound, error) {
-	if j.gcSyncedLSN >= lsn {
-		return nil, nil // already proven durable (rotation, Sync, a past round)
-	}
-	if j.closed {
-		return nil, ErrClosed
-	}
-	if r := j.gcGather; r != nil {
-		return r, nil
-	}
-	r := &gcRound{done: make(chan struct{})}
-	j.gcGather = r
-	for j.gcSyncing && !j.closed {
-		j.gcCond.Wait() // the previous round's sync is the gather window
-	}
-	if j.opts.GroupStall > 0 && !j.closed {
-		// Dally with the lock released so more appenders can pile on
-		// before the sync is issued. Yielding instead of sleeping keeps
-		// the gather window tight: timer wheels overshoot microsecond
-		// sleeps badly, while Gosched hands the CPU straight to the
-		// piling appenders, and the drain check cuts the stall short
-		// once they stop arriving.
-		start := j.opts.Clock.Now()
-		idle := 0
-		for !j.closed {
-			before := j.nextLSN
-			j.mu.Unlock()
-			runtime.Gosched()
-			j.mu.Lock()
-			if j.opts.Clock.Now().Sub(start) >= j.opts.GroupStall {
-				break
-			}
-			if j.nextLSN == before {
-				// One empty cycle can just be an unrelated goroutine
-				// taking its scheduler turn; two in a row means the
-				// herd has truly drained.
-				if idle++; idle >= 2 {
-					break
-				}
-			} else {
-				idle = 0
-			}
-		}
-	}
-	j.gcGather = nil // later arrivals start the next round
-	if j.closed {
-		r.err = ErrClosed
-		close(r.done)
-		return nil, ErrClosed
-	}
-	if j.gcSyncedLSN >= j.nextLSN-1 {
-		// A rotation or explicit Sync flushed and synced the whole pile
-		// while this round gathered; nothing left to prove.
-		close(r.done)
-		return nil, nil
-	}
-	target := j.nextLSN - 1
-	seg := j.seg
-	// Take the whole pile and swap in the spare buffer, so appends keep
-	// accumulating for the next round while this one writes and syncs
-	// with the lock released. Every record with LSN <= target is either
-	// already in the file or in this pile — both reads happen under the
-	// same lock hold as the target capture.
-	pending := j.gcPending
-	j.gcPending = j.gcSpare[:0]
-	j.gcSyncing = true
-	j.mu.Unlock()
-	var err error
-	if len(pending) > 0 {
-		if _, werr := seg.Write(pending); werr != nil {
-			err = fmt.Errorf("group flush through LSN %d: %w", target, werr)
-		}
-	}
-	if err == nil {
-		err = seg.Sync()
-	}
-	j.mu.Lock()
-	j.gcSpare = pending[:0]
-	j.gcSyncing = false
-	if err == nil {
-		if j.gcSyncedLSN < target {
-			j.gcSyncedLSN = target
-		}
-		j.lastSync = j.opts.Clock.Now()
-		j.syncs++
-	} else {
-		err = fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.gcCond.Broadcast() // wake the next leader, rotation, or Close
-	r.err = err
-	close(r.done)
-	return nil, err
-}
-
-// awaitGroupIdleLocked waits out any in-flight group-commit round. The
-// segment handle must not be swapped or closed under a leader's fsync.
-func (j *Journal) awaitGroupIdleLocked() {
-	for j.gcSyncing {
-		j.gcCond.Wait()
-	}
-}
-
-// flushPendingLocked writes group-mode buffered records to the active
-// segment. Callers hold mu and must have waited out any in-flight round
-// first (awaitGroupIdleLocked), so this write never interleaves with a
-// leader's unlocked pile write. On error the buffer is still consumed:
-// the partially written tail is a legal torn record for recovery to
-// truncate, exactly as a failed direct append would be.
-func (j *Journal) flushPendingLocked() error {
-	if len(j.gcPending) == 0 {
-		return nil
-	}
-	_, err := j.seg.Write(j.gcPending)
-	//lint:ignore guardedby every caller holds j.mu per the Locked-suffix contract; the per-function lock walk cannot see a caller's hold
-	j.gcPending = j.gcPending[:0]
-	if err != nil {
-		return fmt.Errorf("journal: flushing group-commit buffer: %w", err)
 	}
 	return nil
 }
 
+// syncLocked is every method's fsync of the active segment; its failure
+// is sticky whichever of them asked.
 func (j *Journal) syncLocked() error {
-	// A leader's unlocked pile write must never interleave with the
-	// flush below; rounds are impossible under the other policies, so
-	// this wait is free there.
-	j.awaitGroupIdleLocked()
-	if err := j.flushPendingLocked(); err != nil {
-		return err
-	}
 	if err := j.seg.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
+		j.failed = fmt.Errorf("journal: fsync: %w", err)
+		return j.failed
 	}
 	j.lastSync = j.opts.Clock.Now()
 	j.syncs++
-	// A full sync under the lock proves every record appended so far
-	// durable (earlier segments were synced at rotation); group-commit
-	// waiters covered by it need no round of their own.
-	if j.gcSyncedLSN < j.nextLSN-1 {
-		j.gcSyncedLSN = j.nextLSN - 1
-		j.gcCond.Broadcast()
-	}
 	return nil
 }
 
@@ -487,8 +296,8 @@ func (j *Journal) syncLocked() error {
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
+	if err := j.usableLocked(); err != nil {
+		return err
 	}
 	return j.syncLocked()
 }
@@ -501,8 +310,8 @@ func (j *Journal) Sync() error {
 func (j *Journal) Snapshot(state []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
+	if err := j.usableLocked(); err != nil {
+		return err
 	}
 	// The snapshot must not claim records the log hasn't made durable.
 	if err := j.syncLocked(); err != nil {
@@ -570,7 +379,6 @@ func (j *Journal) compactLocked() {
 
 // rotateLocked seals the active segment and starts a new one.
 func (j *Journal) rotateLocked() error {
-	j.awaitGroupIdleLocked()
 	if err := j.syncLocked(); err != nil {
 		return err
 	}
@@ -615,25 +423,23 @@ func (j *Journal) syncDir() {
 	_ = d.Close() // read-only directory handle; nothing to lose
 }
 
-// Close syncs and closes the journal.
+// Close syncs and closes the journal. A failed handle skips the sync and
+// reports its failure.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil
 	}
-	j.awaitGroupIdleLocked()
 	j.closed = true
-	j.gcCond.Broadcast() // release any followers queued for a next round
-	if err := j.flushPendingLocked(); err != nil {
-		_ = j.seg.Close()
-		return err
+	err := j.failed
+	if err == nil {
+		err = j.syncLocked()
 	}
-	if err := j.seg.Sync(); err != nil {
-		_ = j.seg.Close() // the sync error is the one worth reporting
-		return err
+	if cerr := j.seg.Close(); err == nil {
+		err = cerr
 	}
-	return j.seg.Close()
+	return err
 }
 
 // Abandon closes file descriptors without syncing — it simulates a crash
@@ -646,7 +452,6 @@ func (j *Journal) Abandon() {
 		return
 	}
 	j.closed = true
-	j.gcCond.Broadcast() // waiters see closed and return ErrClosed
 	//lint:ignore errcheck-io Abandon simulates a crash: losing unflushed bytes is the point, so a close error carries no information the caller could act on
 	j.seg.Close()
 }
