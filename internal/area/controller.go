@@ -268,6 +268,9 @@ type Controller struct {
 
 	tree    *keytree.Tree
 	members map[string]*memberEntry
+	// memberAddrs snapshots every member's address for the data relay
+	// (relayAddrs); nil after a membership change (membersChanged).
+	memberAddrs []string
 
 	// multicastKeyUpdate's scratch, reused by every flush: the scope
 	// table, the cut encoder's buffers, and the per-part frame slots.
@@ -344,7 +347,7 @@ type Controller struct {
 	// Data plane: bounded workers for packet re-encryption and rekey
 	// crypto, with an ordered pipeline sequencing sends back to the wire.
 	pool      *node.Pool
-	dp        *node.Pipeline[[]outbound]
+	dp        *node.Pipeline[dataOut]
 	closeOnce sync.Once
 }
 

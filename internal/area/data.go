@@ -78,6 +78,7 @@ func (c *Controller) applyBatch(joins []pendingAdmission, leaves []string) {
 	for _, p := range joins {
 		c.members[p.entry.id] = p.entry
 	}
+	c.membersChanged()
 	c.armMergeLatch()
 
 	// Durability point: the mutation is journaled before any member sees
@@ -231,10 +232,15 @@ func (c *Controller) freshnessRekey() {
 // handleData forwards one multicast data packet per the Iolus-style rules
 // of Fig. 2. A §III-E batching flush, if pending, happens first so members
 // hold current keys when the data arrives.
+//
+// Nothing about the packet is committed — its sequence number, the flush
+// it may trigger — until K_d opens under a key this controller holds, so
+// an unauthenticated frame naming a victim origin and a huge Seq cannot
+// make every later packet of that origin look like a duplicate.
 func (c *Controller) handleData(f *wire.Frame) {
 	// d.EncKey and d.Payload borrow f's delivery buffer. They are only
-	// read (opened into fresh keys, re-encoded into a new body) by the
-	// data-plane job below, which is the last thing to hold them.
+	// read (opened here into a fresh key; relayed or re-encoded into a new
+	// body by the data-plane job), never written.
 	var d wire.Data
 	if err := wire.DecodePlain(f.Body, &d); err != nil {
 		return
@@ -243,11 +249,29 @@ func (c *Controller) handleData(f *wire.Frame) {
 	if d.Seq <= c.seenSeq[d.Origin] {
 		return
 	}
-	c.seenSeq[intern.ID(d.Origin)] = d.Seq
-
 	if entry, ok := c.members[d.Origin]; ok && entry.addr == f.From {
 		entry.lastSeen = c.clk.Now()
 	}
+
+	var dataKey, under crypt.SymKey
+	var err error
+	switch {
+	case d.FromArea == c.cfg.AreaID:
+		// A sender whose rekey was still in flight sealed K_d under an area
+		// key we have since rotated: recover it from the history.
+		dataKey, under, err = openAreaDataKey(c.suite, c.tree.AreaKey(), c.areaKeyHistory, d.EncKey)
+	case c.parent != nil && d.FromArea == c.parent.areaID:
+		c.parent.lastRecv = c.clk.Now()
+		dataKey, err = keytree.NewSuiteEncryptor(c.parent.suite).DecryptKey(c.parent.view.AreaKey(), d.EncKey)
+	default:
+		c.cfg.Logf("%s: data for foreign area %q dropped", c.cfg.ID, d.FromArea)
+		return
+	}
+	if err != nil {
+		c.cfg.Logf("%s: undecipherable data from %s in area %s dropped", c.cfg.ID, d.Origin, d.FromArea)
+		return
+	}
+	c.seenSeq[intern.ID(d.Origin)] = d.Seq
 
 	// §III-E: "The keys are updated just before the multicast data is
 	// forwarded."
@@ -255,133 +279,103 @@ func (c *Controller) handleData(f *wire.Frame) {
 		c.flush()
 	}
 
-	switch d.FromArea {
-	case c.cfg.AreaID:
-		c.relayOwnAreaData(d, f.From)
-	case c.parentAreaID():
-		if c.parent != nil {
-			c.parent.lastRecv = c.clk.Now()
-		}
-		c.relayParentData(d, f.From)
-	default:
-		c.cfg.Logf("%s: data for foreign area %q dropped", c.cfg.ID, d.FromArea)
+	if d.FromArea == c.cfg.AreaID {
+		c.relayOwnAreaData(d, f, dataKey, under)
+	} else {
+		c.relayParentData(d, f.From, dataKey)
 	}
 }
 
-// relayOwnAreaData handles a packet from one of our members (or a child
-// controller injecting into our area): relay within the area and forward
-// up (Fig. 2). The loop snapshots key material and destinations; the
-// crypto and encoding run as one ordered data-plane job.
-func (c *Controller) relayOwnAreaData(d wire.Data, from string) {
+// relayOwnAreaData handles an authenticated packet from one of our members
+// (or a child controller injecting into our area): relay within the area
+// and forward up (Fig. 2). The loop snapshots key material and
+// destinations; the sealing and encoding run as one ordered data-plane
+// job. A packet whose K_d is sealed under the current area key is relayed
+// as the very body it arrived in; one sealed under a key since rotated
+// (by this packet's own flush, or a rekey the sender had not yet seen) is
+// re-sealed under the current key first.
+func (c *Controller) relayOwnAreaData(d wire.Data, f *wire.Frame, dataKey, under crypt.SymKey) {
 	suite := c.suite
 	areaKey := c.tree.AreaKey()
-	history := append([]crypt.SymKey(nil), c.areaKeyHistory...)
-	dests := c.memberAddrsExcept(from)
-	var parentAddr, parentArea string
+	out := dataOut{dests: c.relayAddrs(), except: f.From}
+	var parentArea string
 	var parentKey crypt.SymKey
 	var parentSuite crypt.Suite
 	if c.parent != nil {
-		parentAddr = c.parent.info.Addr
+		out.upAddr = c.parent.info.Addr
 		parentArea = c.parent.areaID
 		parentKey = c.parent.view.AreaKey()
 		parentSuite = c.parent.suite
 		c.parent.lastSent = c.clk.Now()
 	}
 	c.lastAreaSend = c.clk.Now()
-	id, self, origin := c.cfg.ID, c.cfg.Transport.Addr(), d.Origin
+	self, body := c.cfg.Transport.Addr(), f.Body
 
-	c.submitData(func() []outbound {
-		// If the sender sealed with an area key we have since rotated
-		// (its rekey was still in flight), recover and re-seal under the
-		// current key.
-		dataKey, stale, err := openAreaDataKey(suite, areaKey, history, d.EncKey)
-		if err != nil {
-			c.cfg.Logf("%s: undecipherable data from %s dropped", id, origin)
-			return nil
-		}
-		if stale {
+	c.submitData(func() dataOut {
+		if under != areaKey {
 			d.EncKey = suite.Seal(areaKey, dataKey[:])
-			c.trace.Event(obs.ProtoReseal, origin, "reseal-stale-key")
+			body = d.Encode()
+			c.trace.Event(obs.ProtoReseal, d.Origin, "reseal-stale-key")
 		}
-		var out []outbound
-		if body, err := wire.PlainBody(d); err == nil {
-			relay := &wire.Frame{Kind: wire.KindData, From: self, Body: body}
-			for _, addr := range dests {
-				out = append(out, outbound{addr, relay})
-			}
-			c.cDataRelayed.Inc()
-		}
-		if parentAddr != "" {
+		out.frame = &wire.Frame{Kind: wire.KindData, From: self, Body: body}
+		c.cDataRelayed.Inc()
+		if out.upAddr != "" {
 			// The Iolus-style hop re-seal crosses the suite boundary too:
 			// the parent link's negotiated suite seals the upward copy.
 			up := d
 			up.FromArea = parentArea
 			up.EncKey = parentSuite.Seal(parentKey, dataKey[:])
-			if body, err := wire.PlainBody(up); err == nil {
-				out = append(out, outbound{parentAddr, &wire.Frame{Kind: wire.KindData, From: self, Body: body}})
-				c.cDataForwarded.Inc()
-				c.trace.Event(obs.ProtoReseal, origin, "reseal-up", obs.String("to_area", parentArea))
-			}
+			out.up = &wire.Frame{Kind: wire.KindData, From: self, Body: up.Encode()}
+			c.cDataForwarded.Inc()
+			c.trace.Event(obs.ProtoReseal, d.Origin, "reseal-up", obs.String("to_area", parentArea))
 		}
 		return out
 	})
 }
 
-// relayParentData handles a packet arriving from the parent's area:
-// re-seal the data key under our own area key and relay down (Fig. 2).
-func (c *Controller) relayParentData(d wire.Data, from string) {
-	if c.parent == nil {
-		return
-	}
-	parentKey := c.parent.view.AreaKey()
-	parentSuite := c.parent.suite
+// relayParentData handles an authenticated packet arriving from the
+// parent's area: re-seal the data key under our own area key and relay
+// down (Fig. 2).
+func (c *Controller) relayParentData(d wire.Data, from string, dataKey crypt.SymKey) {
 	suite := c.suite
 	areaKey := c.tree.AreaKey()
 	areaID := c.cfg.AreaID
-	dests := c.memberAddrsExcept(from)
+	out := dataOut{dests: c.relayAddrs(), except: from}
 	c.lastAreaSend = c.clk.Now()
-	id, self := c.cfg.ID, c.cfg.Transport.Addr()
+	self := c.cfg.Transport.Addr()
 
-	c.submitData(func() []outbound {
-		raw, err := parentSuite.Open(parentKey, d.EncKey)
-		if err == nil {
-			var dataKey crypt.SymKey
-			if dataKey, err = crypt.SymKeyFromBytes(raw); err == nil {
-				d.FromArea = areaID
-				d.EncKey = suite.Seal(areaKey, dataKey[:])
-			}
-		}
-		if err != nil {
-			c.cfg.Logf("%s: resealing data from parent area: %v", id, err)
-			return nil
-		}
-		body, err := wire.PlainBody(d)
-		if err != nil {
-			return nil
-		}
-		relay := &wire.Frame{Kind: wire.KindData, From: self, Body: body}
-		out := make([]outbound, 0, len(dests))
-		for _, addr := range dests {
-			out = append(out, outbound{addr, relay})
-		}
+	c.submitData(func() dataOut {
+		d.FromArea = areaID
+		d.EncKey = suite.Seal(areaKey, dataKey[:])
+		out.frame = &wire.Frame{Kind: wire.KindData, From: self, Body: d.Encode()}
 		c.cDataRelayed.Inc()
 		c.trace.Event(obs.ProtoReseal, d.Origin, "reseal-down", obs.String("to_area", areaID))
 		return out
 	})
 }
 
-// memberAddrsExcept snapshots every member address except the frame's
-// sender — the relay destinations for one data packet.
-func (c *Controller) memberAddrsExcept(exceptAddr string) []string {
-	out := make([]string, 0, len(c.members))
-	for _, entry := range c.members {
-		if entry.addr == exceptAddr {
-			continue
+// relayAddrs returns every member's address: the destinations of a
+// relayed data packet, its sender skipped at send time. The slice is
+// built once per membership and shared, read-only, by every data-plane
+// job until the membership changes (membersChanged), so a packet costs
+// no per-member work on the loop.
+func (c *Controller) relayAddrs() []string {
+	if c.memberAddrs == nil {
+		addrs := make([]string, 0, len(c.members))
+		for _, entry := range c.members {
+			addrs = append(addrs, entry.addr)
 		}
-		out = append(out, entry.addr)
+		c.memberAddrs = addrs
 	}
-	return out
+	return c.memberAddrs
 }
+
+// membersChanged drops the relay-address snapshot after c.members, or a
+// member's address, changed; the next relayed packet builds a fresh one.
+// In-flight jobs keep the slice they were given, which is never written.
+// (Restore and journal replay fill c.members before the first packet, so
+// only the live paths call it.)
+func (c *Controller) membersChanged() { c.memberAddrs = nil }
 
 // areaKeyHistoryCap bounds how many rotated-out area keys are kept for
 // in-flight data recovery.
@@ -397,21 +391,18 @@ func (c *Controller) rememberAreaKey(k crypt.SymKey) {
 
 // openAreaDataKey recovers K_d from an own-area data packet, trying the
 // current area key first and then recent predecessors, all under the
-// area's cipher suite. stale reports whether an old key was needed. A
-// pure function so data-plane workers can run it on loop-snapshotted
-// key material.
-func openAreaDataKey(s crypt.Suite, current crypt.SymKey, history []crypt.SymKey, encKey []byte) (key crypt.SymKey, stale bool, err error) {
-	if raw, err := s.Open(current, encKey); err == nil {
-		k, kerr := crypt.SymKeyFromBytes(raw)
-		return k, false, kerr
+// area's cipher suite. under is the area key that opened it.
+func openAreaDataKey(s crypt.Suite, current crypt.SymKey, history []crypt.SymKey, encKey []byte) (key, under crypt.SymKey, err error) {
+	enc := keytree.NewSuiteEncryptor(s)
+	if key, err = enc.DecryptKey(current, encKey); err == nil {
+		return key, current, nil
 	}
 	for _, old := range history {
-		if raw, err := s.Open(old, encKey); err == nil {
-			k, kerr := crypt.SymKeyFromBytes(raw)
-			return k, true, kerr
+		if key, err = enc.DecryptKey(old, encKey); err == nil {
+			return key, old, nil
 		}
 	}
-	return crypt.SymKey{}, false, crypt.ErrDecrypt
+	return crypt.SymKey{}, crypt.SymKey{}, crypt.ErrDecrypt
 }
 
 // handleMemberAlive refreshes a member's liveness (§IV-A).

@@ -14,23 +14,36 @@ import (
 // goroutine performs the sends in submission order, so per-destination
 // wire ordering is exactly what a serial controller would produce.
 
-// outbound is one frame the data plane wants on the wire.
-type outbound struct {
-	addr  string
-	frame *wire.Frame
+// dataOut is one relayed packet's sends: frame to every address in dests
+// except the one it came from, and — for an own-area packet under a
+// parent — the re-sealed copy up to the parent. Its size does not depend
+// on the area's: dests is the controller's shared membership snapshot.
+type dataOut struct {
+	frame  *wire.Frame
+	dests  []string // read-only, shared with other jobs
+	except string
+	up     *wire.Frame
+	upAddr string
 }
 
 // deliver sends one job's frames. Runs on the pipeline drain goroutine;
 // it may only touch the transport, stats, and Logf — all concurrency-safe.
-func (c *Controller) deliver(batch []outbound) {
-	for _, o := range batch {
-		c.send(o.addr, o.frame)
+func (c *Controller) deliver(o dataOut) {
+	if o.frame != nil {
+		for _, addr := range o.dests {
+			if addr != o.except {
+				c.send(addr, o.frame)
+			}
+		}
+	}
+	if o.up != nil {
+		c.send(o.upAddr, o.up)
 	}
 }
 
 // submitData schedules one data-plane job (loop context). Its sends
 // happen after every earlier job's and before every later one's.
-func (c *Controller) submitData(job func() []outbound) {
+func (c *Controller) submitData(job func() dataOut) {
 	c.dp.Submit(job)
 }
 

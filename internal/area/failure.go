@@ -111,6 +111,7 @@ func (c *Controller) handleAreaJoinReq(f *wire.Frame) {
 		lastSeen:  c.clk.Now(),
 		isChildAC: true,
 	}
+	c.membersChanged()
 	c.armMergeLatch()
 	// tree.Join is Batch of one: journaled as a recBatch so replay takes
 	// the identical code path.
@@ -337,12 +338,4 @@ func (c *Controller) tryNextParent() {
 		return
 	}
 	c.cfg.Logf("%s: no remaining parent candidates; operating as root", c.cfg.ID)
-}
-
-// parentAreaID returns the parent's area ID or "".
-func (c *Controller) parentAreaID() string {
-	if c.parent == nil {
-		return ""
-	}
-	return c.parent.areaID
 }

@@ -283,6 +283,7 @@ func (c *Controller) handleRejoinResponse(f *wire.Frame) {
 		// the client's pending rejoin completes.
 		delete(c.rejoinSessions, sess.clientID)
 		entry.addr = sess.clientAddr
+		c.membersChanged()
 		entry.lastSeen = c.clk.Now()
 		c.journalTouch(entry)
 		pks, err := c.tree.PathKeys(keytree.MemberID(sess.clientID))

@@ -821,7 +821,8 @@ func (g *Group) KShared() crypt.SymKey { return g.kShared }
 type MemberConfig struct {
 	// AuthInfo defaults to "valid".
 	AuthInfo string
-	// OnData receives decrypted payloads.
+	// OnData receives decrypted payloads on the member's loop. The payload
+	// is borrowed and valid only until OnData returns: copy what you keep.
 	OnData func(payload []byte, origin string)
 	// AutoRejoin enables §IV-B automatic recovery.
 	AutoRejoin bool

@@ -54,6 +54,9 @@ type Config struct {
 	AuthInfo string
 	// OnData, if set, receives each decrypted multicast payload. Called
 	// from the member's loop: it must not call blocking member methods.
+	// payload is borrowed: it is valid only until OnData returns, after
+	// which the buffer is reused for another packet, so copy what you
+	// keep (string(payload), a checksum, a copy into your own slice).
 	OnData func(payload []byte, origin string)
 	// AutoRejoin rejoins another directory controller after detecting
 	// disconnection (§IV-B).
@@ -154,6 +157,9 @@ type Member struct {
 	lastSent   time.Time
 	dataSeq    uint64
 	op         *pendingOp
+
+	// origins interns the identities data arrives from (originName).
+	origins map[string]string
 
 	// One PathRequest may be outstanding per view epoch: requestPath
 	// stays quiet for pathAskedEpoch until pathRetryAt.
@@ -292,7 +298,7 @@ func (m *Member) Send(payload []byte) error {
 		}
 		dataKey := crypt.NewSymKey()
 		m.dataSeq++
-		body, err := wire.PlainBody(wire.Data{
+		body := wire.Data{
 			Origin:     m.cfg.ID,
 			OriginArea: m.areaID,
 			Seq:        m.dataSeq,
@@ -300,11 +306,7 @@ func (m *Member) Send(payload []byte) error {
 			Cipher:     wire.CipherOf(m.suite.ID()),
 			EncKey:     m.suite.Seal(m.view.AreaKey(), dataKey[:]),
 			Payload:    m.suite.Seal(dataKey, payload),
-		})
-		if err != nil {
-			sendErr = err
-			return
-		}
+		}.Encode()
 		sendErr = m.cfg.Transport.Send(m.acAddr, &wire.Frame{
 			Kind: wire.KindData,
 			From: m.cfg.Transport.Addr(),

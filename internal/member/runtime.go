@@ -3,6 +3,7 @@ package member
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"time"
 
 	"mykil/internal/crypt"
@@ -52,18 +53,23 @@ func (m *Member) handleFrame(f *wire.Frame) {
 // payload is opened by the suite the packet's Cipher tag names — the
 // origin area's, which need not be ours. A packet we are positioned to
 // read but cannot is counted in MetricDataDropped.
+//
+// In steady state it allocates nothing: the body is read in place
+// (wire.ReadDataRef), K_d is unwrapped into pooled scratch and the
+// payload opened into a pooled plaintext buffer, which OnData borrows
+// and which goes back to the pool when the callback returns.
 func (m *Member) handleData(f *wire.Frame) {
-	if !m.connected {
+	if !m.connected || f.From != m.acAddr {
 		return
 	}
-	var d wire.Data
-	if err := wire.DecodePlain(f.Body, &d); err != nil {
+	var d wire.DataRef
+	if err := wire.ReadDataRef(f.Body, &d); err != nil {
 		return
 	}
-	if d.Origin == m.cfg.ID {
+	if string(d.Origin) == m.cfg.ID {
 		return // our own packet relayed back
 	}
-	if d.FromArea != m.areaID {
+	if string(d.FromArea) != m.areaID {
 		return // sealed for a different area's key
 	}
 	suite, ok := d.Cipher.Suite()
@@ -72,7 +78,9 @@ func (m *Member) handleData(f *wire.Frame) {
 		m.cDataDropped.Inc()
 		return
 	}
-	raw, err := m.suite.Open(m.view.AreaKey(), d.EncKey)
+	sc := dataScratchPool.Get().(*dataScratch)
+	defer sc.release()
+	raw, err := m.suite.OpenTo(sc.key[:0], m.view.AreaKey(), d.EncKey)
 	if err != nil {
 		m.cfg.Logf("%s: cannot open data key (stale area key?): %v", m.cfg.ID, err)
 		m.cDataDropped.Inc()
@@ -85,16 +93,60 @@ func (m *Member) handleData(f *wire.Frame) {
 		return
 	}
 	// d.Payload is a window onto the delivery buffer every receiver of
-	// this multicast shares; Open writes fresh output.
-	payload, err := suite.Open(dataKey, d.Payload)
+	// this multicast shares; OpenTo writes into our scratch, never into it.
+	payload, err := suite.OpenTo(sc.plain[:0], dataKey, d.Payload)
 	if err != nil {
 		m.cDataDropped.Inc()
 		return
 	}
+	sc.plain = payload
 	m.received++
 	if m.cfg.OnData != nil {
-		m.cfg.OnData(payload, d.Origin)
+		m.cfg.OnData(payload, m.originName(d.Origin))
 	}
+}
+
+// maxPooledPlaintext caps the plaintext buffer a dataScratch keeps: a
+// packet larger than this is opened into a buffer that is dropped after
+// its callback, so one bulk transfer does not pin its size in the pool.
+const maxPooledPlaintext = 64 << 10
+
+// dataScratch is handleData's working memory, shared process-wide
+// through dataScratchPool: the unwrapped data key and the opened payload.
+// It is taken for one packet and returned when OnData has run, so no
+// member holds a buffer between packets.
+type dataScratch struct {
+	key   [crypt.SymKeyLen]byte
+	plain []byte
+}
+
+var dataScratchPool = sync.Pool{New: func() any { return new(dataScratch) }}
+
+// release returns the scratch to the pool, dropping an oversized
+// plaintext buffer.
+func (sc *dataScratch) release() {
+	if cap(sc.plain) > maxPooledPlaintext {
+		sc.plain = nil
+	}
+	dataScratchPool.Put(sc)
+}
+
+// maxOriginNames bounds originName's table; past it the table restarts.
+const maxOriginNames = 1024
+
+// originName returns the origin identity OnData is called with. The
+// member keeps one string per origin it has heard from, so a delivery
+// from a known sender converts no bytes.
+func (m *Member) originName(b []byte) string {
+	if s, ok := m.origins[string(b)]; ok {
+		return s
+	}
+	if m.origins == nil || len(m.origins) >= maxOriginNames {
+		m.origins = make(map[string]string)
+	}
+	s := string(b)
+	m.origins[s] = s
+	return s
 }
 
 // handleKeyUpdate applies a signed rekey multicast (§III).

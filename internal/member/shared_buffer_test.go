@@ -30,9 +30,11 @@ func attachDirect(m *Member, acPub crypt.PublicKey, path []keytree.PathKey, epoc
 // to every member, so every handler verifies, decodes and applies out of
 // the same backing array at the same time. The members must all follow
 // the rekey, decrypt the suites' packets, drop and count the other two,
-// and a SHA-256 of each shared encoding must be unchanged afterwards.
-// Under -race the detector additionally flags any handler that writes
-// into the buffer its neighbours are reading.
+// and a SHA-256 of each shared encoding must be unchanged afterwards —
+// although every OnData overwrites the payload it was lent once it has
+// checked it. Under -race the detector additionally flags any handler
+// that writes into the buffer its neighbours are reading, or a plaintext
+// buffer two receivers were handed at once.
 func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 	const residents = 32
 	acKeys := keyPair(t)
@@ -72,6 +74,13 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 			OnData: func(payload []byte, origin string) {
 				if string(payload) == "shared payload" && origin == "peer" {
 					delivered.Add(1)
+				}
+				// The payload is borrowed scratch, this member's alone
+				// until the callback returns: scribbling on it must reach
+				// neither the shared delivery buffer nor any other
+				// receiver's plaintext.
+				for i := range payload {
+					payload[i] = 0xff
 				}
 			},
 		})

@@ -391,17 +391,70 @@ func (m Data) AppendWire(b []byte) []byte {
 	return codec.AppendBytes(b, m.Payload)
 }
 
-// ReadWire implements Unmarshaler. EncKey and Payload borrow the input
-// (the delivered frame's body, shared by every receiver of the
-// multicast): open them into fresh output, never in place.
+// Encode returns the packet as a KindData frame body, built in one
+// allocation sized up front — PlainBody would grow a 1 KiB payload's body
+// from 64 bytes by doubling.
+func (m Data) Encode() []byte {
+	n := 1 + 6*binary.MaxVarintLen64 + len(m.Origin) + len(m.OriginArea) + len(m.FromArea) +
+		len(m.EncKey) + len(m.Payload)
+	return m.AppendWire(make([]byte, 0, n))
+}
+
+// ReadWire implements Unmarshaler. The identities are copied; EncKey and
+// Payload borrow the input (the delivered frame's body, shared by every
+// receiver of the multicast): open them into fresh output, never in place.
 func (m *Data) ReadWire(r *codec.Reader) error {
-	m.Origin = r.String()
-	m.OriginArea = r.String()
-	m.Seq = r.Uvarint()
-	m.FromArea = r.String()
-	m.Cipher = DataCipher(r.Byte())
-	m.EncKey = r.BorrowBytes()
-	m.Payload = r.BorrowBytes()
+	var ref DataRef
+	err := ref.read(r)
+	m.Origin = string(ref.Origin)
+	m.OriginArea = string(ref.OriginArea)
+	m.Seq = ref.Seq
+	m.FromArea = string(ref.FromArea)
+	m.Cipher = ref.Cipher
+	m.EncKey = ref.EncKey
+	m.Payload = ref.Payload
+	return err
+}
+
+// DataRef is a Data body read in place: every variable-length field, the
+// identities included, is a window onto the body it was read from. It is
+// for a receiver that is done with the packet before its handler returns
+// (a member), and it is read without allocating — compare an identity
+// with string(ref.Origin) == id, which does not copy.
+type DataRef struct {
+	Origin     []byte
+	OriginArea []byte
+	Seq        uint64
+	FromArea   []byte
+	Cipher     DataCipher
+	EncKey     []byte
+	Payload    []byte
+}
+
+// ReadDataRef decodes a KindData body into d, requiring the body to be
+// fully consumed, as DecodePlain does for Data. Nothing is copied and
+// nothing escapes: the reader lives on the caller's stack and no
+// Unmarshaler interface is involved.
+func ReadDataRef(body []byte, d *DataRef) error {
+	r := codec.NewReader(body)
+	if err := d.read(r); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	return nil
+}
+
+// read is the one decoder of the Data field order.
+func (d *DataRef) read(r *codec.Reader) error {
+	d.Origin = r.BorrowBytes()
+	d.OriginArea = r.BorrowBytes()
+	d.Seq = r.Uvarint()
+	d.FromArea = r.BorrowBytes()
+	d.Cipher = DataCipher(r.Byte())
+	d.EncKey = r.BorrowBytes()
+	d.Payload = r.BorrowBytes()
 	return r.Err()
 }
 

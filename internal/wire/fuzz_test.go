@@ -86,6 +86,7 @@ func FuzzDecodePlain(f *testing.F) {
 		fuzzKeyUpdate,
 		ACAlive{AreaID: "a", Epoch: 1},
 		JoinWelcome{AreaID: "a", TicketBlob: []byte{1}},
+		Data{Origin: "m", FromArea: "a", Seq: 2, Cipher: CipherGCM, EncKey: []byte{1}, Payload: []byte{2}},
 	} {
 		b, err := PlainBody(m)
 		if err != nil {
@@ -116,6 +117,12 @@ func FuzzDecodePlain(f *testing.F) {
 			if !bytes.Equal(re, data) {
 				t.Errorf("%v: decode/encode not canonical:\n in: %x\nout: %x", k, data, re)
 			}
+		}
+		// The member's in-place read accepts exactly what the copying one does.
+		var ref DataRef
+		var d Data
+		if refErr, err := ReadDataRef(data, &ref), DecodePlain(data, &d); (refErr == nil) != (err == nil) {
+			t.Errorf("ReadDataRef (%v) and DecodePlain (%v) disagree on %x", refErr, err, data)
 		}
 	})
 }

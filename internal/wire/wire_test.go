@@ -119,6 +119,15 @@ func TestDecodeFrameBorrowsInput(t *testing.T) {
 				}
 				return [][]byte{d.EncKey, d.Payload}, nil
 			}},
+		{"DataRef",
+			Data{Origin: "m1", OriginArea: "a0", FromArea: "a1", Seq: 1, Cipher: CipherAES, EncKey: []byte{0xE0, 0xE1}, Payload: []byte{0xD0, 0xD1}},
+			func(body []byte) ([][]byte, error) {
+				var d DataRef
+				if err := ReadDataRef(body, &d); err != nil {
+					return nil, err
+				}
+				return [][]byte{d.Origin, d.OriginArea, d.FromArea, d.EncKey, d.Payload}, nil
+			}},
 	} {
 		body, _ := PlainBody(tc.body)
 		buf, _ := (&Frame{Kind: KindKeyUpdate, From: "ac-1", Body: body, Sig: []byte{5, 5}}).Encode()
@@ -152,6 +161,43 @@ func TestDecodeFrameBorrowsInput(t *testing.T) {
 		}
 		if f.From != "ac-1" {
 			t.Errorf("%s: From = %q: strings must be copies, unaffected by the buffer", tc.name, f.From)
+		}
+	}
+}
+
+// TestDataEncodeAndReadDataRef: Data.Encode is PlainBody's encoding, and
+// ReadDataRef reads back what DecodePlain does, refusing a body with a byte
+// missing or a byte to spare.
+func TestDataEncodeAndReadDataRef(t *testing.T) {
+	for _, want := range []Data{
+		{},
+		{Origin: "m1", OriginArea: "area-0", Seq: 1 << 40, FromArea: "area-1", Cipher: CipherGCM,
+			EncKey: bytes.Repeat([]byte{1}, 45), Payload: bytes.Repeat([]byte{2}, 1100)},
+	} {
+		body := want.Encode()
+		if plain, _ := PlainBody(want); !bytes.Equal(body, plain) {
+			t.Fatalf("Encode and PlainBody disagree on %+v", want)
+		}
+		var ref DataRef
+		if err := ReadDataRef(body, &ref); err != nil {
+			t.Fatal(err)
+		}
+		var got Data
+		if err := DecodePlain(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if string(ref.Origin) != got.Origin || string(ref.OriginArea) != got.OriginArea ||
+			string(ref.FromArea) != got.FromArea || ref.Seq != got.Seq || ref.Cipher != got.Cipher ||
+			!bytes.Equal(ref.EncKey, got.EncKey) || !bytes.Equal(ref.Payload, got.Payload) {
+			t.Fatalf("ReadDataRef read %+v, DecodePlain %+v", ref, got)
+		}
+		if got.Origin != want.Origin || got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("round trip: got %+v, want %+v", got, want)
+		}
+		for _, bad := range [][]byte{body[:len(body)-1], append(append([]byte(nil), body...), 0)} {
+			if err := ReadDataRef(bad, &ref); !errors.Is(err, ErrBadBody) {
+				t.Errorf("ReadDataRef(%d of %d bytes): err=%v, want ErrBadBody", len(bad), len(body), err)
+			}
 		}
 	}
 }
