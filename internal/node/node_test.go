@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"mykil/internal/clock"
+	"mykil/internal/simnet"
+	"mykil/internal/transport"
 	"mykil/internal/wire"
 )
 
@@ -151,6 +153,49 @@ func TestLoopExitFromCallback(t *testing.T) {
 		t.Fatal("loop did not stop after Exit")
 	}
 	l.Close()
+}
+
+// TestUndecodableFrameCountedNotDispatched: a corrupt payload delivered to
+// a Sim transport is counted by the network as undecodable and never
+// reaches OnFrame, while the valid frame behind it on the same link does.
+func TestUndecodableFrameCountedNotDispatched(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	tr, err := transport.NewSim(n, "node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	got := make(chan wire.Kind, 2)
+	l := New(Config{Name: "node", Transport: tr, OnFrame: func(f *wire.Frame) { got <- f.Kind }})
+	l.Start()
+	defer l.Close()
+
+	raw := n.MustEndpoint("raw")
+	valid, err := (&wire.Frame{Kind: wire.KindACAlive, From: "raw"}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{{0}, valid} { // a zero kind, then a frame
+		if err := raw.Send("node", payload); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	select {
+	case k := <-got:
+		if k != wire.KindACAlive {
+			t.Fatalf("OnFrame got kind %v, want the valid ACAlive", k)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the valid frame never reached OnFrame")
+	}
+	// Per-link FIFO: the corrupt payload was handled before the valid one.
+	if v := n.Stats().Value(simnet.StatDroppedUndecodable); v != 1 {
+		t.Errorf("%s = %d, want 1", simnet.StatDroppedUndecodable, v)
+	}
+	if v := l.Stats().Value(StatFrames); v != 1 {
+		t.Errorf("%s = %d, want 1 (the corrupt payload must not dispatch)", StatFrames, v)
+	}
 }
 
 func TestPoolMapCoversAllIndices(t *testing.T) {

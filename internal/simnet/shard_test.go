@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mykil/internal/clock"
+	"mykil/internal/race"
 )
 
 var simEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -25,23 +26,97 @@ func TestShardCountOption(t *testing.T) {
 	}
 }
 
+// TestInboxCapacityOption: a 4-envelope bound keeps the first four
+// deliveries and drops the other sixteen; a per-endpoint override wins.
 func TestInboxCapacityOption(t *testing.T) {
-	n := New(Config{InboxCapacity: 4})
+	n := New(Config{InboxCapacity: 4, InboxCapacityFor: func(addr string) int {
+		if addr == "deep" {
+			return 6
+		}
+		return 0
+	}})
 	defer n.Close()
 	a := n.MustEndpoint("a")
-	n.MustEndpoint("b") // never reads
+	b := n.MustEndpoint("b")       // not read until the end
+	deep := n.MustEndpoint("deep") // likewise
 
 	for i := 0; i < 20; i++ {
-		if err := a.Send("b", []byte("x")); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+		for _, to := range []string{"b", "deep"} {
+			if err := a.Send(to, []byte{byte(i)}); err != nil {
+				t.Fatalf("Send %d to %s: %v", i, to, err)
+			}
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Stats().Value(StatDroppedOverflow) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no overflow drops with a 4-slot inbox")
+	settle(t, n, 40)
+	if got := n.Stats().Value(StatDroppedOverflow); got != 16+14 {
+		t.Errorf("dropped.overflow = %d, want %d", got, 16+14)
+	}
+	for _, c := range []struct {
+		ep   *Endpoint
+		want int
+	}{{b, 4}, {deep, 6}} {
+		batch := c.ep.Take(nil)
+		if len(batch) != c.want {
+			t.Fatalf("%s: Take returned %d envelopes, want %d", c.ep.Addr(), len(batch), c.want)
 		}
-		time.Sleep(time.Millisecond)
+		for i, env := range batch {
+			if env.Payload[0] != byte(i) {
+				t.Errorf("%s: envelope %d carried %d, want the first %d in order", c.ep.Addr(), i, env.Payload[0], c.want)
+			}
+		}
+	}
+}
+
+// TestMailboxSteadyStateZeroAlloc pins the mailbox's cost per message:
+// once both of a consumer's alternating arrays have grown to its burst
+// size, send → lane → deliver → Take allocates nothing.
+func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; the exact-alloc pin runs in the non-race CI step")
+	}
+	n := New(Config{Shards: 1})
+	defer n.Close()
+	a := n.MustEndpoint("a")
+	b := n.MustEndpoint("b")
+	payload := []byte("steady")
+	const burst = 8
+	send := func() {
+		for i := 0; i < burst; i++ {
+			if err := a.Send("b", payload); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+	}
+	queued := func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for n.QueuedInboxes() < burst {
+			if time.Now().After(deadline) {
+				t.Fatalf("QueuedInboxes = %d, want %d", n.QueuedInboxes(), burst)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Warm-up: fill each of the two arrays with a whole burst, so neither
+	// grows again, and let the lane's heap and link table reach size.
+	send()
+	queued()
+	batch := b.Take(nil)
+	send()
+	queued()
+	batch = b.Take(batch[:0])
+	clear(batch)
+
+	allocs := testing.AllocsPerRun(100, func() {
+		send()
+		for got := 0; got < burst; {
+			<-b.Ready()
+			batch = b.Take(batch[:0])
+			got += len(batch)
+			clear(batch)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("deliver + Take allocated %.1f times per %d-message burst, want 0", allocs, burst)
 	}
 }
 
@@ -89,23 +164,26 @@ func TestPerShardDropCountersSumToGlobal(t *testing.T) {
 	a := n.MustEndpoint("a")
 	n.MustEndpoint("b") // never reads
 
-	for i := 0; i < inboxCapacity+50; i++ {
+	const extra = 50
+	for i := 0; i < inboxCapacity+extra; i++ {
 		if err := a.Send("b", []byte("x")); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
+	settle(t, n, inboxCapacity+extra)
+	// A lane bumps the global counter just before its own; wait for both.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		global := n.Stats().Value(StatDroppedOverflow)
 		var perShard int64
 		for i := 0; i < n.NumShards(); i++ {
 			perShard += n.Stats().Value(fmt.Sprintf("%s.shard%02d", StatDroppedOverflow, i))
 		}
-		if global > 0 && perShard == global {
+		global := n.Stats().Value(StatDroppedOverflow)
+		if global == extra && perShard == global {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("per-shard overflow drops = %d, global = %d", perShard, global)
+		if global > extra || time.Now().After(deadline) {
+			t.Fatalf("per-shard overflow drops = %d, global = %d, want both %d", perShard, global, extra)
 		}
 		time.Sleep(time.Millisecond)
 	}

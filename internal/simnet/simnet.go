@@ -30,6 +30,19 @@
 // the global delivery order deterministic: strictly ascending (timestamp,
 // send sequence). Combined with a clock.Fake this is the mega-sim mode —
 // the whole network advances under Fake.Advance with no wall-clock waits.
+//
+// # Mailboxes
+//
+// A lane delivers into the destination endpoint's mailbox: a FIFO that
+// holds envelopes until its consumer takes them and grows with what it
+// holds, so an idle endpoint costs a few hundred bytes whatever its
+// bound. Config.InboxCapacity (or InboxCapacityFor) bounds how many
+// envelopes one mailbox may hold; a delivery beyond the bound is dropped
+// and counted under sim.dropped.overflow. A consumer waits on
+// Endpoint.Ready and drains with Endpoint.Take, which swaps its emptied
+// batch in as the next queue, so steady-state delivery allocates nothing.
+// Mailbox memory is proportional to its high-water mark: the arrays are
+// reused, never shrunk, until the endpoint closes.
 package simnet
 
 import (
@@ -39,6 +52,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mykil/internal/clock"
@@ -58,11 +72,14 @@ const (
 	StatDroppedRate      = "sim.dropped.rate"
 	StatDroppedOverflow  = "sim.dropped.overflow"
 	StatDroppedClosed    = "sim.dropped.closed"
+	// StatDroppedUndecodable counts delivered payloads a consumer could
+	// not decode (Endpoint.CountUndecodable); it has no per-lane variant.
+	StatDroppedUndecodable = "sim.dropped.undecodable"
 )
 
 // inboxCapacity is the default bound on each endpoint's mailbox. Rekey
-// bursts in the largest experiments stay well under this; mega-sim runs
-// shrink it via Config.InboxCapacity to keep 100k mailboxes affordable.
+// bursts in the largest experiments stay well under this. It is a bound,
+// not a preallocation: a mailbox grows only as far as it fills.
 const inboxCapacity = 8192
 
 // maxDefaultShards caps the default lane count so small test networks do
@@ -106,14 +123,14 @@ type Config struct {
 	// min(GOMAXPROCS, 8). Each (from, to) link is pinned to one lane, so
 	// per-link FIFO is independent of the lane count.
 	Shards int
-	// InboxCapacity bounds each endpoint's mailbox; zero means the
-	// 8192-slot default. Mega-sims with 100k endpoints set this to a few
-	// dozen to keep idle mailbox memory linear-small.
+	// InboxCapacity bounds how many delivered, untaken envelopes each
+	// endpoint's mailbox holds; deliveries beyond it are dropped as
+	// overflow. Zero means 8192. It is a bound, not a preallocation: a
+	// mailbox's memory follows its own high-water mark.
 	InboxCapacity int
 	// InboxCapacityFor, if set, overrides InboxCapacity per endpoint
-	// (return <= 0 to fall back). Mega-sims use it to give the few
-	// controller/server endpoints deep mailboxes while the 10^5 member
-	// mailboxes stay shallow.
+	// (return <= 0 to fall back), e.g. a deeper bound for controllers
+	// than for members.
 	InboxCapacityFor func(addr string) int
 	// Virtual selects the deterministic virtual-time scheduler: a single
 	// delivery lane draining strictly in (timestamp, send order). Use
@@ -141,6 +158,8 @@ type Network struct {
 
 	shards []*shard
 
+	queued atomic.Int64 // envelopes in mailboxes, delivered and not yet taken
+
 	reg *obs.Registry
 
 	// Typed counter handles, registered at construction.
@@ -152,6 +171,7 @@ type Network struct {
 	cDropRate      *obs.Counter
 	cDropOverflow  *obs.Counter
 	cDropClosed    *obs.Counter
+	cUndecodable   *obs.Counter
 }
 
 type linkKey struct{ from, to string }
@@ -196,6 +216,7 @@ func New(cfg Config) *Network {
 	n.cDropRate = n.reg.Counter(StatDroppedRate, "Messages dropped by random loss injection.")
 	n.cDropOverflow = n.reg.Counter(StatDroppedOverflow, "Messages dropped because the destination inbox was full.")
 	n.cDropClosed = n.reg.Counter(StatDroppedClosed, "Messages dropped because the endpoint or network had closed.")
+	n.cUndecodable = n.reg.Counter(StatDroppedUndecodable, "Delivered messages their consumer could not decode.")
 
 	n.shards = make([]*shard, shards)
 	for i := range n.shards {
@@ -267,10 +288,11 @@ func (n *Network) Endpoint(addr string) (*Endpoint, error) {
 		capacity = inboxCapacity
 	}
 	ep := &Endpoint{
-		addr:  addr,
-		net:   n,
-		inbox: make(chan Envelope, capacity),
-		done:  make(chan struct{}),
+		addr:     addr,
+		net:      n,
+		capacity: capacity,
+		ready:    make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	n.nodes[addr] = ep
 	return ep, nil
@@ -371,18 +393,11 @@ func (n *Network) Pending() int {
 }
 
 // QueuedInboxes reports how many delivered envelopes are sitting in
-// endpoint mailboxes, not yet consumed by their transports. Mega-sim
-// drivers treat zero here (together with Pending() == 0) as the network
-// half of a quiescence check before advancing virtual time.
-func (n *Network) QueuedInboxes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, ep := range n.nodes {
-		total += len(ep.inbox)
-	}
-	return total
-}
+// endpoint mailboxes, not yet taken by their consumers. Mega-sim drivers
+// treat zero here (together with Pending() == 0) as the network half of
+// a quiescence check before advancing virtual time; what a consumer has
+// taken but not yet handled is the consumer's to report.
+func (n *Network) QueuedInboxes() int { return int(n.queued.Load()) }
 
 // NextDue returns the earliest delivery deadline across all lanes, or
 // ok=false when nothing is queued.
@@ -416,7 +431,7 @@ func (n *Network) Close() {
 
 	close(n.stopped)
 	for _, ep := range eps {
-		ep.closeOnce.Do(func() { close(ep.done) })
+		ep.Close()
 	}
 	n.wg.Wait()
 }
@@ -480,8 +495,8 @@ func (n *Network) send(from, to string, payload []byte) error {
 	return nil
 }
 
-// deliver hands a message to its destination endpoint, applying crash and
-// close checks at delivery time.
+// deliver appends a message to its destination's mailbox, applying crash,
+// close and capacity checks at delivery time, and wakes the consumer.
 func (n *Network) deliver(env Envelope, sh *shard) {
 	n.mu.Lock()
 	ep, ok := n.nodes[env.To]
@@ -492,22 +507,25 @@ func (n *Network) deliver(env Envelope, sh *shard) {
 		sh.cDropCrashed.Inc()
 		return
 	}
-	select {
-	case <-ep.done:
+	ep.mu.Lock()
+	switch {
+	case ep.closed:
+		ep.mu.Unlock()
 		n.cDropClosed.Inc()
 		sh.cDropClosed.Inc()
-		return
-	default:
-	}
-	select {
-	case ep.inbox <- env:
-		n.cDeliveredMsgs.Inc()
-	case <-ep.done:
-		n.cDropClosed.Inc()
-		sh.cDropClosed.Inc()
-	default:
+	case len(ep.queue) >= ep.capacity:
+		ep.mu.Unlock()
 		n.cDropOverflow.Inc()
 		sh.cDropOverflow.Inc()
+	default:
+		ep.queue = append(ep.queue, env)
+		n.queued.Add(1)
+		ep.mu.Unlock()
+		n.cDeliveredMsgs.Inc()
+		select {
+		case ep.ready <- struct{}{}:
+		default: // a wake-up is already pending; the consumer takes everything
+		}
 	}
 }
 
@@ -659,13 +677,23 @@ func (h *msgHeap) pop() queuedMsg {
 	return top
 }
 
-// Endpoint is one node's attachment to the network.
+// Endpoint is one node's attachment to the network. Its mailbox is a FIFO
+// of delivered envelopes that one consumer drains with Ready and Take.
 type Endpoint struct {
 	addr      string
 	net       *Network
-	inbox     chan Envelope
+	capacity  int           // most envelopes the mailbox holds
+	ready     chan struct{} // one slot: a delivery landed since the last wake-up
 	done      chan struct{}
 	closeOnce sync.Once
+
+	mu     sync.Mutex
+	queue  []Envelope // delivered, not yet taken, in arrival order
+	closed bool
+
+	inboxOnce sync.Once
+	inbox     chan Envelope  // the Inbox adapter's channel, made on first use
+	adapter   sync.WaitGroup // the Inbox adapter goroutine; Close waits for it
 }
 
 // Addr returns the endpoint's network address.
@@ -689,14 +717,106 @@ func (e *Endpoint) Send(to string, payload []byte) error {
 	return e.net.send(e.addr, to, payload)
 }
 
-// Inbox returns the delivery channel. The channel is never closed; use
-// Done to detect shutdown in selects.
-func (e *Endpoint) Inbox() <-chan Envelope { return e.inbox }
+// Ready receives a value after a delivery lands in the mailbox. Signals
+// coalesce — one pending wake-up stands for any number of deliveries — so
+// a consumer takes everything queued each time it wakes:
+//
+//	for {
+//		select {
+//		case <-ep.Ready():
+//		case <-ep.Done():
+//			return
+//		}
+//		batch = ep.Take(batch[:0])
+//		... handle batch in order ...
+//		clear(batch)
+//	}
+func (e *Endpoint) Ready() <-chan struct{} { return e.ready }
+
+// Take returns every envelope delivered since the last Take, in arrival
+// order, and keeps dst's array, emptied, as the mailbox's next queue: a
+// consumer that passes back its previous batch makes the two arrays
+// alternate, so steady-state delivery allocates nothing. The caller owns
+// the returned slice until it passes it to Take again, and should clear
+// it first so a drained batch pins no payload. After Close, Take returns
+// dst[:0] and keeps nothing.
+func (e *Endpoint) Take(dst []Envelope) []Envelope {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return dst[:0]
+	}
+	out := e.queue
+	e.queue = dst[:0]
+	e.net.queued.Add(-int64(len(out)))
+	return out
+}
+
+// Inbox returns a channel fed from the mailbox by a goroutine started on
+// the first call. It is an adapter for readers that want a channel (the
+// benchmark's one-hop layer walk); such an endpoint must have no other
+// consumer, and an envelope the adapter has taken but not yet handed over
+// is not counted by QueuedInboxes. The channel is never closed; use Done
+// to detect shutdown in selects.
+func (e *Endpoint) Inbox() <-chan Envelope {
+	e.inboxOnce.Do(func() {
+		e.inbox = make(chan Envelope)
+		e.adapter.Add(1)
+		go func() {
+			defer e.adapter.Done()
+			e.feedInbox()
+		}()
+	})
+	return e.inbox
+}
+
+// feedInbox is the Inbox adapter: drain the mailbox into e.inbox until
+// the endpoint closes.
+func (e *Endpoint) feedInbox() {
+	var batch []Envelope
+	for {
+		select {
+		case <-e.ready:
+		case <-e.done:
+			return
+		}
+		batch = e.Take(batch[:0])
+		for _, env := range batch {
+			select {
+			case e.inbox <- env:
+			case <-e.done:
+				return
+			}
+		}
+		clear(batch)
+	}
+}
+
+// CountUndecodable records that the consumer dropped a delivered payload
+// it could not decode, under StatDroppedUndecodable.
+func (e *Endpoint) CountUndecodable() { e.net.cUndecodable.Inc() }
 
 // Done is closed when the endpoint (or the network) shuts down.
 func (e *Endpoint) Done() <-chan struct{} { return e.done }
 
-// Close detaches the endpoint; subsequent deliveries to it are dropped.
+// Close detaches the endpoint: subsequent deliveries to it are dropped,
+// and so is everything still in its mailbox, each envelope counted under
+// StatDroppedClosed, so a closed endpoint pins no payload and a
+// quiescence probe never waits on it. It returns once the Inbox adapter,
+// if started, has exited.
 func (e *Endpoint) Close() {
-	e.closeOnce.Do(func() { close(e.done) })
+	e.closeOnce.Do(func() {
+		e.mu.Lock()
+		e.closed = true
+		discarded := e.queue
+		e.queue = nil
+		e.net.queued.Add(-int64(len(discarded)))
+		e.mu.Unlock()
+		close(e.done)
+		e.net.cDropClosed.Add(int64(len(discarded)))
+		for _, env := range discarded {
+			e.net.shardFor(linkKey{env.From, env.To}).cDropClosed.Inc()
+		}
+	})
+	e.adapter.Wait()
 }

@@ -8,25 +8,68 @@ import (
 	"time"
 )
 
+// held keeps what pop has taken from each endpoint's mailbox but not yet
+// returned, so tests can read one envelope at a time. Tests touch it from
+// their own goroutine only.
+var held = map[*Endpoint][]Envelope{}
+
+// pop returns the endpoint's oldest delivered envelope without waiting.
+func pop(ep *Endpoint) (Envelope, bool) {
+	q := held[ep]
+	if len(q) == 0 {
+		q = ep.Take(nil)
+	}
+	if len(q) == 0 {
+		delete(held, ep)
+		return Envelope{}, false
+	}
+	held[ep] = q[1:]
+	return q[0], true
+}
+
 // recv waits up to five seconds for one envelope.
 func recv(t *testing.T, ep *Endpoint) Envelope {
 	t.Helper()
-	select {
-	case env := <-ep.Inbox():
-		return env
-	case <-time.After(5 * time.Second):
-		t.Fatalf("endpoint %s: no delivery within timeout", ep.Addr())
-		return Envelope{}
+	timeout := time.After(5 * time.Second)
+	for {
+		if env, ok := pop(ep); ok {
+			return env
+		}
+		select {
+		case <-ep.Ready():
+		case <-timeout:
+			t.Fatalf("endpoint %s: no delivery within timeout", ep.Addr())
+		}
 	}
 }
 
 // expectSilence asserts nothing arrives within the window.
 func expectSilence(t *testing.T, ep *Endpoint, window time.Duration) {
 	t.Helper()
-	select {
-	case env := <-ep.Inbox():
-		t.Fatalf("endpoint %s: unexpected delivery from %s", ep.Addr(), env.From)
-	case <-time.After(window):
+	timeout := time.After(window)
+	for {
+		if env, ok := pop(ep); ok {
+			t.Fatalf("endpoint %s: unexpected delivery from %s", ep.Addr(), env.From)
+		}
+		select {
+		case <-ep.Ready():
+		case <-timeout:
+			return
+		}
+	}
+}
+
+// settle waits until every one of sent messages has either landed in a
+// mailbox or been dropped for overflow.
+func settle(t *testing.T, n *Network, sent int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Stats().Value(StatDeliveredMsgs)+n.Stats().Value(StatDroppedOverflow) < sent {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d delivered + %d overflowed of %d sent", n.Stats().Value(StatDeliveredMsgs),
+				n.Stats().Value(StatDroppedOverflow), sent)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -90,6 +133,31 @@ func TestFIFOPerLink(t *testing.T) {
 			t.Fatalf("delivery %d carried sequence %d: FIFO violated", i, env.Payload[0])
 		}
 	}
+}
+
+// TestInboxAdapter: the channel adapter over the mailbox delivers in link
+// order, and Close returns with its goroutine gone.
+func TestInboxAdapter(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	a := n.MustEndpoint("a")
+	b := n.MustEndpoint("b")
+	for i := 0; i < 3; i++ {
+		if err := a.Send("b", []byte{byte(i)}); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case env := <-b.Inbox():
+			if env.Payload[0] != byte(i) {
+				t.Fatalf("delivery %d carried %d", i, env.Payload[0])
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery %d never reached the Inbox channel", i)
+		}
+	}
+	b.Close() // waits for the adapter goroutine
 }
 
 func TestUnknownDestination(t *testing.T) {
@@ -343,24 +411,77 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 }
 
+// TestInboxOverflowDrops fills an unread mailbox past the default bound:
+// exactly the deliveries beyond it are dropped, and the mailbox holds the
+// first inboxCapacity in order.
 func TestInboxOverflowDrops(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()
 	a := n.MustEndpoint("a")
-	n.MustEndpoint("b") // never reads
+	b := n.MustEndpoint("b") // not read until the end
 
-	for i := 0; i < inboxCapacity+10; i++ {
+	const extra = 10
+	for i := 0; i < inboxCapacity+extra; i++ {
+		if err := a.Send("b", []byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	settle(t, n, inboxCapacity+extra)
+	if got := n.Stats().Value(StatDroppedOverflow); got != extra {
+		t.Errorf("dropped.overflow = %d, want %d", got, extra)
+	}
+	if got := n.QueuedInboxes(); got != inboxCapacity {
+		t.Errorf("QueuedInboxes = %d, want %d", got, inboxCapacity)
+	}
+	batch := b.Take(nil)
+	if len(batch) != inboxCapacity {
+		t.Fatalf("Take returned %d envelopes, want %d", len(batch), inboxCapacity)
+	}
+	for i, env := range batch {
+		if seq := int(env.Payload[0]) | int(env.Payload[1])<<8; seq != i {
+			t.Fatalf("envelope %d carried %d: the mailbox must keep the first %d in order", i, seq, inboxCapacity)
+		}
+	}
+	if got := n.QueuedInboxes(); got != 0 {
+		t.Errorf("QueuedInboxes = %d after Take, want 0", got)
+	}
+}
+
+// TestClosedEndpointDiscardsMailbox: closing an endpoint drops what its
+// mailbox still holds, counts each envelope as a closed drop, and leaves
+// nothing for QueuedInboxes — a virtual-time driver's busy probe must
+// not wait for ever on a consumer that has gone.
+func TestClosedEndpointDiscardsMailbox(t *testing.T) {
+	n := New(Config{Shards: 4})
+	defer n.Close()
+	a := n.MustEndpoint("a")
+	b := n.MustEndpoint("b") // never reads
+
+	for i := 0; i < 3; i++ {
 		if err := a.Send("b", []byte("x")); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
-	// Deliveries are async; wait for the drop counter to move.
 	deadline := time.Now().Add(5 * time.Second)
-	for n.Stats().Value(StatDroppedOverflow) == 0 {
+	for n.Stats().Value(StatDeliveredMsgs) < 3 {
 		if time.Now().After(deadline) {
-			t.Fatal("no overflow drops recorded")
+			t.Fatal("three envelopes never reached b's mailbox")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	b.Close()
+	if got := n.QueuedInboxes(); got != 0 {
+		t.Errorf("QueuedInboxes = %d after b.Close(), want 0", got)
+	}
+	if got := n.Stats().Value(StatDroppedClosed); got != 3 {
+		t.Errorf("dropped.closed = %d, want 3", got)
+	}
+	var perShard int64
+	for i := 0; i < n.NumShards(); i++ {
+		perShard += n.Stats().Value(fmt.Sprintf("%s.shard%02d", StatDroppedClosed, i))
+	}
+	if perShard != 3 {
+		t.Errorf("per-shard closed drops = %d, want 3", perShard)
 	}
 }
 

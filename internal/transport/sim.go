@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"mykil/internal/simnet"
 	"mykil/internal/wire"
@@ -12,16 +13,17 @@ type Sim struct {
 	ep     *simnet.Endpoint
 	net    *simnet.Network
 	frames chan *wire.Frame
+	taken  atomic.Int64 // envelopes taken from the mailbox, not yet handed to the node
 	wg     sync.WaitGroup
 }
 
 var _ Transport = (*Sim)(nil)
 
 // simReg tracks the live Sim transports attached to each network, so a
-// virtual-time driver can ask whether any frame has been decoded but not
-// yet consumed by its node (PendingFrames). Without that signal a clock
-// pump sees an idle network while messages sit in transport buffers and
-// sweeps virtual time across real processing stalls.
+// virtual-time driver can ask whether any frame has been delivered but
+// not yet consumed by its node (PendingFrames). Without that signal a
+// clock pump sees an idle network while messages sit in transport
+// buffers and sweeps virtual time across real processing stalls.
 var (
 	simRegMu sync.Mutex
 	simReg   = map[*simnet.Network]map[*Sim]struct{}{}
@@ -54,39 +56,54 @@ func NewSim(n *simnet.Network, addr string) (*Sim, error) {
 	return s, nil
 }
 
-// PendingFrames reports how many frames across all live transports on n
-// have been decoded off the wire but not yet received by their node.
-// Zero means every delivered message has at least reached its consumer.
+// PendingFrames reports how many messages across all live transports on n
+// have left their endpoint's mailbox but not yet been received by their
+// node: taken and still being decoded or handed over, or decoded and
+// waiting in the frame channel. Zero, together with
+// n.QueuedInboxes() == 0, means every delivered message has at least
+// reached its consumer.
 func PendingFrames(n *simnet.Network) int {
 	simRegMu.Lock()
 	defer simRegMu.Unlock()
 	total := 0
 	for s := range simReg[n] {
-		total += len(s.frames)
+		total += len(s.frames) + int(s.taken.Load())
 	}
 	return total
 }
 
-// pump decodes envelopes into frames. Frames that fail to decode are
-// dropped, as a real stack drops corrupt datagrams. A decoded frame
-// borrows the envelope's payload, which the other receivers of the same
-// multicast borrow too.
+// pump drains the endpoint's mailbox and decodes each envelope into a
+// frame for the node. A frame that fails to decode is dropped, as a real
+// stack drops a corrupt datagram, and counted by the network. A decoded
+// frame borrows the envelope's payload, which the other receivers of the
+// same multicast borrow too.
 func (s *Sim) pump() {
+	var batch []simnet.Envelope
 	for {
 		select {
-		case env := <-s.ep.Inbox():
-			f, err := wire.DecodeFrame(env.Payload)
-			if err != nil {
-				continue
-			}
-			select {
-			case s.frames <- f:
-			case <-s.ep.Done():
-				return
-			}
+		case <-s.ep.Ready():
 		case <-s.ep.Done():
 			return
 		}
+		// Read busy while taking: the mailbox count drops inside Take,
+		// before len(batch) is known.
+		s.taken.Store(1)
+		batch = s.ep.Take(batch[:0])
+		s.taken.Store(int64(len(batch)))
+		for i := range batch {
+			f, err := wire.DecodeFrame(batch[i].Payload)
+			if err != nil {
+				s.ep.CountUndecodable()
+			} else {
+				select {
+				case s.frames <- f:
+				case <-s.ep.Done():
+					return
+				}
+			}
+			s.taken.Add(-1)
+		}
+		clear(batch)
 	}
 }
 
