@@ -272,11 +272,12 @@ type Controller struct {
 	// (relayAddrs); nil after a membership change (membersChanged).
 	memberAddrs []string
 
-	// multicastKeyUpdate's scratch, reused by every flush: the scope
-	// table, the cut encoder's buffers, and the per-part frame slots.
-	kuScopes []keytree.NodeID
-	kuCut    wire.KeyUpdateCut
-	kuFrames []*wire.Frame
+	// multicastKeyUpdate's scratch, reused by every flush: the receivers
+	// and their addresses, the cut, and the encoder's leaves and tree.
+	kuIDs   []keytree.MemberID
+	kuAddrs []string
+	kuCut   keytree.Cut
+	kuEnc   wire.KeyUpdateCut
 
 	joinSessions   map[string]*joinSession
 	rejoinSessions map[string]*rejoinSession
@@ -403,7 +404,7 @@ func New(cfg Config) (*Controller, error) {
 	c.cEvictions = c.metrics.Counter(StatEvictions, "Silent members terminated (T_idle policy).")
 	c.cRekeys = c.metrics.Counter(StatRekeys, "Rekey operations performed.")
 	c.cRekeyEntries = c.metrics.Counter(StatRekeyEntries, "Encrypted key entries across all rekeys.")
-	c.cRekeyParts = c.metrics.Counter(StatRekeyParts, "KeyUpdate parts sent: distinct bodies cut per root subtree, one signature per rekey.")
+	c.cRekeyParts = c.metrics.Counter(StatRekeyParts, "KeyUpdate parts sent: one per set of members that open the same entries of a rekey, all under one signature.")
 	c.cRekeyBytes = c.metrics.Counter(StatRekeyBytes, "KeyUpdate body and signature bytes handed to the transport, summed over receivers.")
 	c.cDataRelayed = c.metrics.Counter(StatDataRelayed, "Data frames relayed within the area.")
 	c.cDataForwarded = c.metrics.Counter(StatDataForwarded, "Data frames forwarded to the parent area.")

@@ -895,14 +895,17 @@ func TestBatchingDefersAdmission(t *testing.T) {
 	}
 }
 
-// TestParentKeyUpdateReceive drives the controller's member side of its
-// parent's area: a rekey naming another area is dropped, a genuine one
-// applies, its re-delivery is ignored without asking the parent for
-// anything, and a missed epoch triggers path recovery — one PathRequest
-// per missed epoch however many later rekeys reveal it (each answer
-// costs the parent an RSA seal and a signature), repeated only after
-// TIdle on the injected clock.
-func TestParentKeyUpdateReceive(t *testing.T) {
+// adoptedRig is a controller that ac-peer, played by the test, has
+// admitted to its area: the parent's tree, and the controller's view of
+// the parent area read through its loop.
+type adoptedRig struct {
+	*rig
+	fake *clock.Fake
+	tree *keytree.Tree // the parent area's
+}
+
+func newAdoptedRig(t *testing.T) *adoptedRig {
+	t.Helper()
 	fake := clock.NewFake(fakeEpoch)
 	r := newRig(t, func(cfg *Config) {
 		pub, err := crypt.ParsePublicKey(cfg.Directory[1].PubDER)
@@ -915,12 +918,11 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 	})
 	recvKind(t, r.peer, wire.KindAreaJoinReq)
 
-	// The test plays the parent: its area's tree admits ac-0.
-	tree := keytree.New(keytree.Config{})
-	if _, err := tree.Join("resident"); err != nil {
+	a := &adoptedRig{rig: r, fake: fake, tree: keytree.New(keytree.Config{})}
+	if _, err := a.tree.Join("resident"); err != nil {
 		t.Fatal(err)
 	}
-	admitted, err := tree.Join("ac-0")
+	admitted, err := a.tree.Join("ac-0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -935,38 +937,71 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 	if err := r.peer.Send("ac-0", ack); err != nil {
 		t.Fatal(err)
 	}
-	parentEpoch := func() (e uint64) {
-		if err := r.ctrl.call(func() {
-			if r.ctrl.parent != nil {
-				e = r.ctrl.parent.view.Epoch()
-			}
-		}); err != nil {
-			t.Fatal(err)
+	a.waitEpoch(t, admitted.Epoch)
+	return a
+}
+
+// parentView returns the controller's epoch and area key in its parent's
+// area.
+func (a *adoptedRig) parentView(t *testing.T) (e uint64, key crypt.SymKey) {
+	if err := a.ctrl.call(func() {
+		if a.ctrl.parent != nil {
+			e, key = a.ctrl.parent.view.Epoch(), a.ctrl.parent.view.AreaKey()
 		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return e, key
+}
+
+func (a *adoptedRig) waitEpoch(t *testing.T, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		e, _ := a.parentView(t)
+		if e == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("parent view at epoch %d, want %d", e, want)
+		}
+	}
+}
+
+// TestParentKeyUpdateReceive drives the controller's member side of its
+// parent's area: a rekey naming another area is dropped, a genuine one
+// applies, its re-delivery is ignored without asking the parent for
+// anything, and a missed epoch triggers path recovery — one PathRequest
+// per missed epoch however many later rekeys reveal it (each answer
+// costs the parent an RSA seal and a signature), repeated only after
+// TIdle on the injected clock.
+func TestParentKeyUpdateReceive(t *testing.T) {
+	a := newAdoptedRig(t)
+	r, fake, tree := a.rig, a.fake, a.tree
+	admittedEpoch := tree.Epoch()
+	parentEpoch := func() uint64 {
+		e, _ := a.parentView(t)
 		return e
 	}
 	waitEpoch := func(want uint64) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for parentEpoch() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("parent view at epoch %d, want %d", parentEpoch(), want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		a.waitEpoch(t, want)
 	}
-	waitEpoch(admitted.Epoch)
 
+	// rekey sends ac-0 its part of res, cut for every member of the
+	// parent's area that applies it.
 	rekey := func(areaID string, res *keytree.BatchResult) {
 		t.Helper()
-		var cut wire.KeyUpdateCut
-		scopes := res.Update.Scopes(nil)
-		cut.Encode(areaID, res.Update, scopes)
-		part, err := tree.Part("ac-0", scopes)
-		if err != nil {
-			t.Fatal(err)
+		receivers := []keytree.MemberID{"ac-0"}
+		for _, m := range tree.Members() {
+			if _, joined := res.Joined[m]; !joined && m != "ac-0" {
+				receivers = append(receivers, m)
+			}
 		}
-		f := &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac-peer", Body: cut.Body(part), Sig: r.peerKeys.Sign(cut.Header())}
+		var kc keytree.Cut
+		tree.Cut(res.Update, receivers, &kc)
+		var cut wire.KeyUpdateCut
+		cut.Encode(areaID, res.Epoch, &kc)
+		f := &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac-peer", Body: cut.Body(kc.Part(0)), Sig: r.peerKeys.Sign(cut.Header())}
 		if err := r.peer.Send("ac-0", f); err != nil {
 			t.Fatal(err)
 		}
@@ -977,7 +1012,7 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 	}
 	rekey("area-elsewhere", next)
 	expectNoKind(t, r.peer, wire.KindPathRequest, 100*time.Millisecond)
-	if e := parentEpoch(); e != admitted.Epoch {
+	if e := parentEpoch(); e != admittedEpoch {
 		t.Fatalf("another area's rekey moved the parent view to epoch %d", e)
 	}
 	if name := obs.MetricKeyUpdateDropped("wrong_area"); r.ctrl.Stats().Snapshot()[name] != 1 {
@@ -1009,4 +1044,47 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 	fake.Advance(time.Minute)
 	rekey("area-peer", evenLater)
 	recvKind(t, r.peer, wire.KindPathRequest)
+}
+
+// TestParentPathUpdateReplayIgnored: a genuine PathUpdate from the parent
+// — signed by it, sealed to this controller — captured and sent again
+// after the controller's view of the parent area has moved on must not
+// roll that view (and its journaled copy) back to old keys and an old
+// epoch; the replay is counted. A PathUpdate naming another area is
+// ignored, as a member ignores one.
+func TestParentPathUpdateReplayIgnored(t *testing.T) {
+	a := newAdoptedRig(t)
+	start, _ := a.parentView(t)
+	pathUpdate := func(areaID string, epoch uint64) ([]byte, crypt.SymKey) {
+		t.Helper()
+		root := crypt.NewSymKey()
+		blob, err := wire.SealBody(a.acKeys.Public(), wire.PathUpdate{AreaID: areaID, Epoch: epoch,
+			Path: []keytree.PathKey{{Node: 5, Key: crypt.NewSymKey()}, {Node: 0, Key: root}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &wire.Frame{Kind: wire.KindPathUpdate, From: "ac-peer", Body: blob, Sig: a.peerKeys.Sign(blob)}
+		if err := a.peer.Send("ac-0", f); err != nil {
+			t.Fatal(err)
+		}
+		return blob, root
+	}
+	captured, _ := pathUpdate("area-peer", start+2)
+	a.waitEpoch(t, start+2)
+	_, root := pathUpdate("area-peer", start+4)
+	a.waitEpoch(t, start+4)
+
+	if err := a.peer.Send("ac-0", &wire.Frame{Kind: wire.KindPathUpdate, From: "ac-peer", Body: captured, Sig: a.peerKeys.Sign(captured)}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); a.ctrl.Stats().Snapshot()[obs.MetricPathUpdateStale] != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the replayed PathUpdate was never counted")
+		}
+	}
+	pathUpdate("area-elsewhere", start+6)
+	expectNoKind(t, a.peer, wire.KindPathRequest, 100*time.Millisecond)
+	if e, key := a.parentView(t); e != start+4 || !key.Equal(root) {
+		t.Fatalf("the parent view stands at epoch %d (want %d), area key match %v", e, start+4, key.Equal(root))
+	}
 }

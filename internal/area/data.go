@@ -146,64 +146,48 @@ func (c *Controller) applyBatch(joins []pendingAdmission, leaves []string) {
 	// Multicast the signed rekey message to remaining members (§III-E:
 	// "each key update message is signed using the private key of the
 	// area controller").
-	c.multicastKeyUpdate(res, joins)
+	c.multicastKeyUpdate(res)
 }
 
 // multicastKeyUpdate distributes a rekey message to every member that did
-// not already receive fresh keys by unicast. The update is signed once,
-// over a header that lists one scope per part with the part's digest,
-// and every member is sent that header with the part cut for it.
-func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult, joins []pendingAdmission) {
+// not receive fresh keys by unicast (res.Joined, res.Displaced). The
+// update is cut so that each member is sent its own path's entries
+// (keytree.Cut) and signed once, over a header carrying the Merkle root
+// of the parts; every member is sent that header, its part and the
+// part's audit path.
+func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult) {
 	u := res.Update
 	if u == nil || len(u.Entries) == 0 {
 		return
 	}
-	skip := make(map[string]bool, len(joins)+len(res.Displaced))
-	for _, p := range joins {
-		skip[p.entry.id] = true
-	}
-	for m := range res.Displaced {
-		skip[string(m)] = true
-	}
-	// The delivery choice is this one line. Both transports fan a
-	// multicast out as per-receiver sends, so the update is cut per
-	// touched root subtree and a resident receives about 1/arity of it;
-	// the scope table {u.Root} instead makes one body for the whole area,
-	// what a true multicast transport would want.
-	c.kuScopes = u.Scopes(c.kuScopes[:0])
-	c.kuCut.Encode(c.cfg.AreaID, u, c.kuScopes)
-	sig := c.cfg.Keys.Sign(c.kuCut.Header())
-
-	// One *Frame per part, built when its first receiver turns up: the
-	// first send encodes it, every later one hands the transport the
-	// same bytes.
-	c.kuFrames = append(c.kuFrames[:0], make([]*wire.Frame, len(c.kuScopes))...)
-	var parts, sent int64
+	c.kuIDs, c.kuAddrs = c.kuIDs[:0], c.kuAddrs[:0]
 	for id, entry := range c.members {
-		if skip[id] {
+		m := keytree.MemberID(id)
+		if _, fresh := res.Joined[m]; fresh {
 			continue
 		}
-		part, err := c.tree.Part(keytree.MemberID(id), c.kuScopes)
-		if err != nil {
-			c.cfg.Logf("%s: key update for %s: %v", c.cfg.ID, id, err)
+		if _, fresh := res.Displaced[m]; fresh {
 			continue
 		}
-		f := c.kuFrames[part]
-		if f == nil {
-			f = &wire.Frame{
-				Kind: wire.KindKeyUpdate,
-				From: c.cfg.Transport.Addr(),
-				Body: c.kuCut.Body(part),
-				Sig:  sig,
-			}
-			c.kuFrames[part] = f
-			parts++
-		}
-		sent += int64(len(f.Body) + len(f.Sig))
-		c.send(entry.addr, f)
+		c.kuIDs = append(c.kuIDs, m)
+		c.kuAddrs = append(c.kuAddrs, entry.addr)
 	}
-	clear(c.kuFrames)
-	c.cRekeyParts.Add(parts)
+	c.tree.Cut(u, c.kuIDs, &c.kuCut)
+	c.kuEnc.Encode(c.cfg.AreaID, u.Epoch, &c.kuCut)
+	frames := c.kuEnc.Frames(c.cfg.Transport.Addr(), c.cfg.Keys.Sign(c.kuEnc.Header()))
+
+	var sent int64
+	for i, addr := range c.kuAddrs {
+		part := c.kuCut.Part(i)
+		if part < 0 {
+			c.cfg.Logf("%s: key update for %s: %v", c.cfg.ID, c.kuIDs[i], keytree.ErrMemberUnknown)
+			continue
+		}
+		f := &frames[part]
+		sent += int64(len(f.Body) + len(f.Sig))
+		c.send(addr, f)
+	}
+	c.cRekeyParts.Add(int64(len(frames)))
 	c.cRekeyBytes.Add(sent)
 	c.lastAreaSend = c.clk.Now()
 }
@@ -226,7 +210,7 @@ func (c *Controller) freshnessRekey() {
 	c.trace.Event(obs.ProtoRekey, c.cfg.AreaID, "freshness-rekey",
 		obs.Int("entries", int64(res.Update.NumKeys())),
 		obs.Uint("epoch", uint64(res.Epoch)))
-	c.multicastKeyUpdate(res, nil)
+	c.multicastKeyUpdate(res)
 }
 
 // handleData forwards one multicast data packet per the Iolus-style rules

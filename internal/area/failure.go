@@ -126,7 +126,7 @@ func (c *Controller) handleAreaJoinReq(f *wire.Frame) {
 		Timestamp:    c.clk.Now(),
 		Suite:        c.suite.ID(),
 	}, true)
-	c.multicastKeyUpdate(res, []pendingAdmission{{entry: c.members[req.ACID]}})
+	c.multicastKeyUpdate(res)
 	c.sendDisplaced(res)
 }
 
@@ -257,7 +257,13 @@ func (c *Controller) handleParentPathUpdate(f *wire.Frame) {
 		return
 	}
 	var pu wire.PathUpdate
-	if err := wire.OpenBody(c.cfg.Keys, f.Body, &pu); err != nil {
+	if err := wire.OpenBody(c.cfg.Keys, f.Body, &pu); err != nil || pu.AreaID != c.parent.areaID {
+		return
+	}
+	if pu.Epoch < c.parent.view.Epoch() {
+		// A replay: rebasing would roll the parent view — and the
+		// journaled copy of it — back to old keys and an old epoch.
+		obs.PathUpdateStale(c.metrics)
 		return
 	}
 	c.parent.lastRecv = c.clk.Now()

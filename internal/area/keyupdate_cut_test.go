@@ -3,12 +3,15 @@ package area
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"mykil/internal/crypt"
 	"mykil/internal/journal"
 	"mykil/internal/keytree"
+	"mykil/internal/race"
 	"mykil/internal/transport"
 	"mykil/internal/wire"
 )
@@ -181,4 +184,170 @@ func TestOneSignaturePerFlush(t *testing.T) {
 	tap.take(t, 0)
 	leave("c7")
 	checkOneFlush(t, restored, tap.take(t, 7), views, 2)
+}
+
+// frameTap is a controller transport that delivers nothing and records
+// every frame it is handed, in order, into room reserved up front, so it
+// allocates nothing while a test measures the controller.
+type frameTap struct {
+	to     []string
+	frames []*wire.Frame
+}
+
+func (f *frameTap) Addr() string             { return "ac-0" }
+func (f *frameTap) Recv() <-chan *wire.Frame { return nil }
+func (f *frameTap) Done() <-chan struct{}    { return nil }
+func (f *frameTap) Close() error             { return nil }
+func (f *frameTap) Send(to string, fr *wire.Frame) error {
+	f.to, f.frames = append(f.to, to), append(f.frames, fr)
+	return nil
+}
+
+// churnArea is an unstarted controller over tap whose arity-4,
+// legacy-suite area holds 1,024 members, signing with an RSA-1024 key.
+func churnArea(t *testing.T, tap *frameTap) *Controller {
+	t.Helper()
+	keys, err := crypt.GenerateKeyPair(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{ID: "ac-0", AreaID: "area-0", Transport: tap, Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ids := make([]keytree.MemberID, 1024)
+	for i := range ids {
+		ids[i] = keytree.MemberID(fmt.Sprintf("m%04d", i))
+		c.members[string(ids[i])] = &memberEntry{id: string(ids[i]), addr: string(ids[i])}
+	}
+	if err := c.tree.Preload(ids); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// churn runs one mobility-shaped batch at c — 16 spread members leave, 16
+// new ones join — up to the point where the rekey is to be sent.
+func churn(t *testing.T, c *Controller, round int) *keytree.BatchResult {
+	t.Helper()
+	leaves := c.tree.SpreadMembers(16)
+	joins := make([]keytree.MemberID, 16)
+	for i := range joins {
+		joins[i] = keytree.MemberID(fmt.Sprintf("j%d.%d", round, i))
+	}
+	res, err := c.tree.Batch(joins, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range leaves {
+		delete(c.members, string(m))
+	}
+	for _, m := range joins {
+		c.members[string(m)] = &memberEntry{id: string(m), addr: string(m)}
+	}
+	return res
+}
+
+// TestKeyUpdateFrameBytesOwnPath: in a 1,024-member area at arity 4, a
+// 16-leave + 16-join flush sends every resident its own path and a proof,
+// at most 900 B of body and RSA-1024 signature, where the per-root-child
+// cut sent ~3 kB. The flush signs once (every frame carries the one
+// signature slice), and every resident takes its frame and lands on the
+// controller's area key.
+func TestKeyUpdateFrameBytesOwnPath(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a thousand RSA verifies under the race detector; the byte pin runs in the non-race CI step")
+	}
+	tap := &frameTap{}
+	c := churnArea(t, tap)
+	views := make(map[string]*keytree.MemberView)
+	for id := range c.members {
+		pk, err := c.tree.PathKeys(keytree.MemberID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[id] = keytree.NewMemberView(pk, c.tree.Epoch(), keytree.NewSuiteEncryptor(c.suite))
+	}
+	res := churn(t, c, 0)
+	c.multicastKeyUpdate(res)
+
+	parts := map[*wire.Frame]bool{}
+	var total int
+	for i, f := range tap.frames {
+		if &f.Sig[0] != &tap.frames[0].Sig[0] {
+			t.Fatal("one flush signed more than once: its frames carry different signature slices")
+		}
+		parts[f] = true
+		size := len(f.Body) + len(f.Sig)
+		total += size
+		if size > 900 {
+			t.Errorf("%s was sent %d B of body and signature, want at most 900", tap.to[i], size)
+		}
+		v, ok := views[tap.to[i]]
+		if !ok {
+			t.Fatalf("a KeyUpdate went to %s, who is not a resident", tap.to[i])
+		}
+		if _, err := wire.ReceiveKeyUpdate(f, c.cfg.Keys.Public(), c.cfg.AreaID, v); err != nil {
+			t.Fatalf("%s: %v", tap.to[i], err)
+		}
+		if v.AreaKey() != c.tree.AreaKey() {
+			t.Fatalf("%s took its frame but holds another area key", tap.to[i])
+		}
+	}
+	if want := len(c.members) - len(res.Joined) - len(res.Displaced); len(tap.frames) != want {
+		t.Fatalf("the flush reached %d members, want the %d residents", len(tap.frames), want)
+	}
+	t.Logf("%d entries cut into %d parts; %.0f B of body and signature per resident",
+		res.Update.NumKeys(), len(parts), float64(total)/float64(len(tap.frames)))
+}
+
+// TestFlushAllocsPerPart: once its scratch has grown, a flush allocates
+// a constant number of times however many parts it cuts — one buffer
+// holding every part's frame encoding, which the frames share as their
+// cached encoding (each frame's Body a window onto it), the frames as one
+// array, and what the one signature costs — and its bytes stay within
+// 1.25× the part frames it sends.
+func TestFlushAllocsPerPart(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own; the exact-alloc pin runs in the non-race CI step")
+	}
+	tap := &frameTap{to: make([]string, 0, 1024), frames: make([]*wire.Frame, 0, 1024)}
+	c := churnArea(t, tap)
+	header := make([]byte, 64)
+	sign := func() { c.cfg.Keys.Sign(header) }
+	sign()
+	signAllocs := testing.AllocsPerRun(20, sign)
+	for round := 0; round < 4; round++ {
+		res := churn(t, c, round)
+		tap.to, tap.frames = tap.to[:0], tap.frames[:0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.multicastKeyUpdate(res)
+		runtime.ReadMemStats(&after)
+		if round < 3 {
+			continue // scratch grows to the area's size
+		}
+		parts := map[*wire.Frame]bool{}
+		var frames int
+		for _, f := range tap.frames {
+			if !parts[f] {
+				parts[f] = true
+				enc, _ := f.Encode()
+				frames += len(enc)
+			}
+		}
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%d parts, %d B of frames: %d allocations (signing %.0f), %d B (%.2f×)",
+			len(parts), frames, allocs, signAllocs, bytes, float64(bytes)/float64(frames))
+		if len(parts) < 64 {
+			t.Fatalf("the flush was cut into %d parts", len(parts))
+		}
+		if limit := uint64(signAllocs) + 3; allocs > limit {
+			t.Errorf("a flush of %d parts allocated %d times, want at most %d", len(parts), allocs, limit)
+		}
+		if limit := frames * 5 / 4; bytes > uint64(limit) {
+			t.Errorf("a flush of %d B of part frames allocated %d B, want at most %d", frames, bytes, limit)
+		}
+	}
 }

@@ -48,24 +48,32 @@ func AppendEntries(b []byte, es []Entry) []byte {
 	return b
 }
 
-// AppendPart appends, as an AppendEntries list, the part of u cut for
-// scopes[i] — a scope table from Scopes, or any other that ends in
-// u.Root. Entries keep their bottom-up order, and the parts of one table
-// together hold every entry of u.
-func (u *KeyUpdate) AppendPart(b []byte, scopes []NodeID, i int) []byte {
-	n := 0
-	for j := range u.Entries {
-		if u.inPart(&u.Entries[j], scopes, i) {
-			n++
-		}
-	}
-	b = codec.AppendUvarint(b, uint64(n))
-	for j := range u.Entries {
-		if e := &u.Entries[j]; u.inPart(e, scopes, i) {
-			b = e.AppendWire(b)
-		}
+// AppendLeaf appends one part of a cut KeyUpdate (see Cut): its scope set
+// as a counted list of node IDs, then its entries as an AppendEntries
+// list.
+func AppendLeaf(b []byte, scopes []NodeID, es []Entry) []byte {
+	return AppendEntries(appendScopes(b, scopes), es)
+}
+
+func appendScopes(b []byte, scopes []NodeID) []byte {
+	b = codec.AppendUvarint(b, uint64(len(scopes)))
+	for _, s := range scopes {
+		b = codec.AppendVarint(b, int64(s))
 	}
 	return b
+}
+
+// ReadScopes decodes a leaf's scope set; the entry list follows it.
+func ReadScopes(r *codec.Reader) ([]NodeID, error) {
+	n := r.Count(1)
+	if n == 0 {
+		return nil, r.Err()
+	}
+	ss := make([]NodeID, n)
+	for i := range ss {
+		ss[i] = NodeID(r.Varint())
+	}
+	return ss, r.Err()
 }
 
 // ReadEntries decodes an AppendEntries list.

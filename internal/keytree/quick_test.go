@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,13 +126,19 @@ func TestQuickRandomOpSequences(t *testing.T) {
 	}
 }
 
-// TestQuickPartAloneEqualsWholeUpdate is the cut's contract (KeyUpdate
-// Scopes/AppendPart, Tree.Part): over random join, leave, mixed and
-// freshness rekeys, every surviving member that was not moved ends with
-// the same keys and epoch whether it applies the whole update or only the
-// part cut for it; the parts of one table are in-order selections of the
-// update that together hold every entry; and the one-scope table {Root}
-// yields the whole list.
+// TestQuickPartAloneEqualsWholeUpdate is the cut's contract (Tree.Cut):
+// over random join, leave, mixed and freshness rekeys, cut for every
+// surviving member that was not moved,
+//
+//   - each receiver's path holds exactly one scope of all the parts —
+//     the scopes are an antichain covering every receiver — and it is a
+//     scope of the receiver's own part;
+//   - that part is exactly the update's entries whose Under is on the
+//     receiver's path, in the update's order, and no two parts share a
+//     list;
+//   - applying the part alone leaves the same keys and epoch as applying
+//     the whole update;
+//   - a freshness rekey is one part, scoped to the root.
 func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 	f := func(script opScript) bool {
 		rng := rand.New(rand.NewSource(script.seed))
@@ -140,11 +147,13 @@ func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 		type pair struct{ whole, part *MemberView }
 		views := make(map[MemberID]pair)
 		var population []MemberID
+		var cut Cut
 		next := 0
 
 		for step := 0; step < script.steps; step++ {
 			var res *BatchResult
-			if len(population) > 0 && rng.Intn(6) == 0 {
+			freshness := len(population) > 0 && rng.Intn(6) == 0
+			if freshness {
 				res = tree.RefreshAreaKey()
 			} else {
 				var joins, leaves []MemberID
@@ -171,59 +180,77 @@ func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 				population = append(population, joins...)
 			}
 			u := res.Update
-			scopes := u.Scopes(nil)
-			if scopes[len(scopes)-1] != u.Root || len(scopes) > script.arity+1 {
-				t.Logf("step %d: scope table %v does not end in root %d within arity %d", step, scopes, u.Root, script.arity)
-				return false
+			var receivers []MemberID
+			for m := range views {
+				if _, moved := res.Displaced[m]; !moved {
+					receivers = append(receivers, m)
+				}
 			}
-
-			// Parts are in-order selections that cover the update.
-			covered := make([]bool, len(u.Entries))
-			for i := range scopes {
-				r := codec.NewReader(u.AppendPart(nil, scopes, i))
-				part, err := ReadEntries(r)
-				if err != nil || r.Finish() != nil {
-					t.Logf("step %d: part %d does not decode: %v", step, i, err)
+			tree.Cut(u, receivers, &cut)
+			type leaf struct {
+				scopes []NodeID
+				list   []byte // the leaf's entry list, as AppendEntries encodes it
+			}
+			leaves := make([]leaf, cut.Parts())
+			for p := range leaves {
+				r := codec.NewReader(cut.AppendLeaf(nil, p))
+				scopes, err := ReadScopes(r)
+				if err != nil {
+					t.Logf("step %d: part %d's scopes do not decode: %v", step, p, err)
 					return false
 				}
-				at := 0
-				for _, pe := range part {
-					for at < len(u.Entries) && !sameEntry(u.Entries[at], pe) {
-						at++
-					}
-					if at == len(u.Entries) {
-						t.Logf("step %d: part %d holds %+v out of the update's order", step, i, pe)
+				leaves[p] = leaf{scopes, r.BorrowRaw(r.Len())}
+				for q := 0; q < p; q++ {
+					if bytes.Equal(leaves[q].list, leaves[p].list) {
+						t.Logf("step %d: parts %d and %d carry the same entries", step, q, p)
 						return false
 					}
-					covered[at] = true
-					at++
 				}
 			}
-			for i, ok := range covered {
-				if !ok {
-					t.Logf("step %d: entry %d (%+v) is in no part", step, i, u.Entries[i])
-					return false
-				}
-			}
-			if whole := u.AppendPart(nil, []NodeID{u.Root}, 0); !bytes.Equal(whole, AppendEntries(nil, u.Entries)) {
-				t.Logf("step %d: the {root} table does not yield the whole list", step)
+			if freshness && (len(leaves) != 1 || len(leaves[0].scopes) != 1 || leaves[0].scopes[0] != tree.root.id) {
+				t.Logf("step %d: a freshness rekey cut into %d parts", step, len(leaves))
 				return false
 			}
 
-			for m, v := range views {
-				if _, moved := res.Displaced[m]; moved {
-					continue
-				}
-				mine, err := tree.Part(m, scopes)
+			for i, m := range receivers {
+				v := views[m]
+				path, err := tree.PathNodeIDs(m)
 				if err != nil {
 					t.Logf("step %d: %v", step, err)
+					return false
+				}
+				mine := cut.Part(i)
+				onPath := 0
+				for p := range leaves {
+					for _, s := range leaves[p].scopes {
+						if slices.Contains(path, s) {
+							onPath++
+							if p != mine {
+								t.Logf("step %d: %s's path holds scope %d of part %d, not of its own part %d", step, m, s, p, mine)
+								return false
+							}
+						}
+					}
+				}
+				if onPath != 1 {
+					t.Logf("step %d: %s's path holds %d scopes", step, m, onPath)
+					return false
+				}
+				var own []Entry
+				for _, e := range u.Entries {
+					if slices.Contains(path, e.Under) {
+						own = append(own, e)
+					}
+				}
+				if !bytes.Equal(leaves[mine].list, AppendEntries(nil, own)) {
+					t.Logf("step %d: %s's part is not exactly the entries on its path", step, m)
 					return false
 				}
 				if _, err := v.whole.Apply(u); err != nil {
 					t.Logf("step %d: %s applying the whole update: %v", step, m, err)
 					return false
 				}
-				if _, err := v.part.ApplyWire(u.Epoch, codec.NewReader(u.AppendPart(nil, scopes, mine))); err != nil {
+				if _, err := v.part.ApplyWire(u.Epoch, codec.NewReader(leaves[mine].list)); err != nil {
 					t.Logf("step %d: %s applying part %d: %v", step, m, mine, err)
 					return false
 				}
@@ -249,10 +276,6 @@ func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-}
-
-func sameEntry(a, b Entry) bool {
-	return a.Node == b.Node && a.Under == b.Under && bytes.Equal(a.Ciphertext, b.Ciphertext)
 }
 
 // TestQuickPruneModeInvariants runs random churn against a pruning tree:

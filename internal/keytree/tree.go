@@ -249,34 +249,6 @@ func (t *Tree) PathNodeIDs(m MemberID) ([]NodeID, error) {
 	return ids, nil
 }
 
-// scopeOf returns the root child whose subtree holds n, or the root for
-// the root itself: the delivery scope of whatever only n's key opens
-// (Entry.Scope).
-func (t *Tree) scopeOf(n *node) NodeID {
-	for n.parent != nil && n.parent != t.root {
-		n = n.parent
-	}
-	return n.id
-}
-
-// Part returns which part of an update cut by scopes is m's: the index
-// of the first listed scope on m's root path — the rule the receiving
-// member applies to its own view (wire.ReceiveKeyUpdate).
-func (t *Tree) Part(m MemberID, scopes []NodeID) (int, error) {
-	leaf, ok := t.members[m]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrMemberUnknown, m)
-	}
-	for i, s := range scopes {
-		for n := leaf; n != nil; n = n.parent {
-			if n.id == s {
-				return i, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("keytree: no scope of %v on the path of %q", scopes, m)
-}
-
 // PathKeys returns m's current path key material, leaf first — what join
 // step 7 or a replica-restored controller hands the member.
 func (t *Tree) PathKeys(m MemberID) (PathKeys, error) {
@@ -468,13 +440,12 @@ func (t *Tree) RefreshAreaKey() *BatchResult {
 	oldKey := t.root.key
 	t.root.key = t.cfg.KeyGen()
 	t.epoch++
-	update := &KeyUpdate{Epoch: t.epoch, Root: t.root.id}
+	update := &KeyUpdate{Epoch: t.epoch}
 	if t.NumMembers() > 0 {
 		update.Entries = append(update.Entries, Entry{
 			Node:       t.root.id,
 			Under:      t.root.id,
 			Ciphertext: t.cfg.Encryptor.EncryptKeyTo(nil, oldKey, t.root.key),
-			Scope:      t.root.id,
 		})
 	}
 	return &BatchResult{
@@ -750,11 +721,11 @@ func (t *Tree) buildUpdate(changed map[NodeID]*node, fresh map[NodeID]bool,
 	var u *KeyUpdate
 	var pairs []encPair
 	if reuse {
-		t.updScratch = KeyUpdate{Epoch: t.epoch, Entries: t.updScratch.Entries[:0], Root: t.root.id}
+		t.updScratch = KeyUpdate{Epoch: t.epoch, Entries: t.updScratch.Entries[:0]}
 		u = &t.updScratch
 		pairs = t.pairsScratch[:0]
 	} else {
-		u = &KeyUpdate{Epoch: t.epoch, Root: t.root.id}
+		u = &KeyUpdate{Epoch: t.epoch}
 		pairs = make([]encPair, 0, len(changed))
 	}
 	for _, n := range nodes {
@@ -775,11 +746,11 @@ func (t *Tree) buildUpdate(changed map[NodeID]*node, fresh map[NodeID]bool,
 					// paths by unicast.
 					continue
 				}
-				u.Entries = append(u.Entries, Entry{Node: n.id, Under: c.id, Scope: t.scopeOf(c)})
+				u.Entries = append(u.Entries, Entry{Node: n.id, Under: c.id})
 				pairs = append(pairs, encPair{c.key, n.key})
 			}
 		} else {
-			u.Entries = append(u.Entries, Entry{Node: n.id, Under: n.id, Scope: t.scopeOf(n)})
+			u.Entries = append(u.Entries, Entry{Node: n.id, Under: n.id})
 			pairs = append(pairs, encPair{oldKeys[n.id], n.key})
 		}
 	}

@@ -19,17 +19,12 @@ type MemberID string
 // Entry is one encrypted key in a rekey message: the new key of node Node,
 // encrypted under the key of node Under. In join-mode updates Under ==
 // Node (new key encrypted under the node's previous key); in leave-mode
-// updates Under is a child of Node, per the paper's §III-D scheme.
-//
-// Scope names who can open the entry: the root child whose subtree holds
-// Under, or the root itself when Under is the root (every member holds
-// that key). It is the sender's cut mark (KeyUpdate.AppendPart) and is
-// not encoded: a decoded entry's Scope is zero.
+// updates Under is a child of Node, per the paper's §III-D scheme. No two
+// entries of one update share an Under.
 type Entry struct {
 	Node       NodeID
 	Under      NodeID
 	Ciphertext []byte
-	Scope      NodeID
 }
 
 // KeyUpdate is the multicast rekey message an area controller sends after
@@ -42,51 +37,6 @@ type KeyUpdate struct {
 	Epoch uint64
 	// Entries carry the re-encrypted keys.
 	Entries []Entry
-	// Root is the tree's root node: the Scope of entries every member
-	// can open, and the last scope of every cut (see Scopes).
-	Root NodeID
-}
-
-// Scopes appends to dst the scope table that cuts u per root subtree:
-// every root child some entry is scoped to, in entry order, then the
-// root. A member's part is the first of these on its path — its own
-// branch's if that has entries of its own, the root's otherwise.
-func (u *KeyUpdate) Scopes(dst []NodeID) []NodeID {
-	first := len(dst)
-next:
-	for i := range u.Entries {
-		s := u.Entries[i].Scope
-		if s == u.Root {
-			continue
-		}
-		for _, have := range dst[first:] {
-			if have == s {
-				continue next
-			}
-		}
-		dst = append(dst, s)
-	}
-	return append(dst, u.Root)
-}
-
-// inPart reports whether e belongs to the part cut for scopes[i]: it is
-// scoped there, or to the root (everyone needs it), or — for the root's
-// part, which serves every member without a part of its own — to a
-// branch the table does not list. Under the one-scope table {Root} the
-// root's part is therefore the whole update.
-func (u *KeyUpdate) inPart(e *Entry, scopes []NodeID, i int) bool {
-	if e.Scope == scopes[i] || e.Scope == u.Root {
-		return true
-	}
-	if scopes[i] != u.Root {
-		return false
-	}
-	for _, s := range scopes {
-		if s == e.Scope {
-			return false
-		}
-	}
-	return true
 }
 
 // NumKeys returns how many encrypted keys the update carries — the unit
@@ -216,7 +166,7 @@ func (v *MemberView) index(id NodeID) int {
 }
 
 // OnPath reports whether node id lies on the member's root path — whether
-// a KeyUpdate part scoped to id is one this member can be meant to take.
+// a KeyUpdate part with scope id is the one cut for this member (Cut).
 func (v *MemberView) OnPath(id NodeID) bool { return v.index(id) >= 0 }
 
 // checkEpoch reports whether an update for epoch is the next one in

@@ -97,12 +97,11 @@ func TestOnePathRequestPerMissedRekey(t *testing.T) {
 }
 
 // TestMisdeliveredKeyUpdatePartChangesNothing: a member handed a part of
-// a genuine rekey that was not cut for it — a sibling subtree's, the
-// root-only part while its own branch has one, its own with a changed
-// entry — or a signed header with no scope, counts the drop under its
-// reason, keeps keys and epoch, and asks the controller for nothing (the
-// frame reveals no missed epoch). Its own part, arriving after all that,
-// applies.
+// a genuine rekey that was not cut for it — any other member's — or its
+// own with a changed entry or a changed audit path, or a signed header
+// over no parts, counts the drop under its reason, keeps keys and epoch,
+// and asks the controller for nothing (the frame reveals no missed
+// epoch). Its own part, arriving after all that, applies.
 func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	defer n.Close()
@@ -143,21 +142,25 @@ func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 	m.Start()
 	defer m.Close()
 
-	// One leaver per root subtree: every branch, m05's included, gets a
-	// part of its own, and the root's part is empty.
+	// One leaver under each root child: the cut reaches down every branch, and
+	// m05 is sent only the entries on its own path.
 	res, err := tree.BatchLeave([]keytree.MemberID{"m04", "m20", "m36", "m52"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scopes := res.Update.Scopes(nil)
-	var cut wire.KeyUpdateCut
-	cut.Encode("area-x", res.Update, scopes)
-	mine, err := tree.Part("m05", scopes)
-	if err != nil {
-		t.Fatal(err)
+	receivers := []keytree.MemberID{"m05"}
+	for _, id := range ids {
+		if id != "m05" && tree.HasMember(id) {
+			receivers = append(receivers, id)
+		}
 	}
-	if len(scopes) != keytree.DefaultArity+1 || mine == len(scopes)-1 {
-		t.Fatalf("fixture cut %d parts and gave m05 part %d", len(scopes), mine)
+	var kc keytree.Cut
+	tree.Cut(res.Update, receivers, &kc)
+	var cut wire.KeyUpdateCut
+	cut.Encode("area-x", res.Epoch, &kc)
+	mine := kc.Part(0)
+	if kc.Parts() < 2*keytree.DefaultArity {
+		t.Fatalf("fixture cut %d parts", kc.Parts())
 	}
 	sig := keys.Sign(cut.Header())
 	send := func(body, sig []byte) {
@@ -176,20 +179,28 @@ func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 		}
 	}
 
-	for i := range scopes {
+	for i := 0; i < kc.Parts(); i++ {
 		if i != mine {
-			send(cut.Body(i), sig) // siblings' parts, and last the root-only one
+			send(cut.Body(i), sig) // the parts cut for everyone else
 		}
 	}
-	waitDrops("wrong_part", int64(len(scopes)-1))
+	waitDrops("wrong_part", int64(kc.Parts()-1))
 	tampered := cut.Body(mine)
 	tampered[len(tampered)-1] ^= 1
 	send(tampered, sig)
 	waitDrops("bad_digest", 1)
+	var ku wire.KeyUpdate
+	if err := wire.DecodePlain(cut.Body(mine), &ku); err != nil {
+		t.Fatal(err)
+	}
+	ku.Proof[0][0] ^= 1
+	badProof, _ := wire.PlainBody(ku)
+	send(badProof, sig)
+	waitDrops("bad_digest", 2)
 	empty := wire.KeyUpdate{AreaID: "area-x", Epoch: res.Epoch}
 	emptyBody, _ := wire.PlainBody(empty)
 	send(emptyBody, keys.Sign(empty.AppendHeader(nil)))
-	waitDrops("bad_body", 1)
+	waitDrops("bad_digest", 3)
 
 	var got keytree.PathKeys
 	_ = m.call(func() { got = m.view.PathKeys() })

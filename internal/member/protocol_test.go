@@ -270,6 +270,12 @@ func TestClientRejectsUnsignedGrant(t *testing.T) {
 	}
 }
 
+// oneLeaf is a rekey of one part, already encoded as its leaf.
+type oneLeaf []byte
+
+func (l oneLeaf) Parts() int                        { return 1 }
+func (l oneLeaf) AppendLeaf(b []byte, _ int) []byte { return append(b, l...) }
+
 func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
 	r := newProtoRig(t)
 	path := r.join()
@@ -278,11 +284,11 @@ func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
 	newKey := crypt.NewSymKey()
 	enc := keytree.NewSuiteEncryptor(nil)
 	entry := keytree.Entry{
-		Node: 1, Under: 1, Scope: 1,
+		Node: 1, Under: 1,
 		Ciphertext: enc.EncryptKeyTo(nil, path[0].Key, newKey),
 	}
 	var cut wire.KeyUpdateCut
-	cut.Encode("area-x", &keytree.KeyUpdate{Epoch: 2, Entries: []keytree.Entry{entry}, Root: 1}, []keytree.NodeID{1})
+	cut.Encode("area-x", 2, oneLeaf(keytree.AppendLeaf(nil, []keytree.NodeID{1}, []keytree.Entry{entry})))
 	body := cut.Body(0)
 
 	// Forged signature: dropped, and counted under its reason.
@@ -484,6 +490,42 @@ func TestClientRejectsUnsignedPathUpdate(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	if r.m.Epoch() == 7 {
 		t.Fatal("member rebased on a forged path update")
+	}
+}
+
+// TestClientIgnoresReplayedPathUpdate: a genuine PathUpdate — signed and
+// sealed by the controller — captured and sent again after the member has
+// moved on must not roll its view back to the old keys and epoch. The
+// replay is dropped and counted.
+func TestClientIgnoresReplayedPathUpdate(t *testing.T) {
+	r := newProtoRig(t)
+	r.join()
+	pathUpdate := func(epoch uint64) ([]byte, crypt.SymKey) {
+		root := crypt.NewSymKey()
+		blob := r.seal(wire.PathUpdate{AreaID: "area-x", Epoch: epoch,
+			Path: []keytree.PathKey{{Node: 5, Key: crypt.NewSymKey()}, {Node: 1, Key: root}}})
+		r.ac.send("mem", wire.KindPathUpdate, blob, r.acKeys.Sign(blob))
+		return blob, root
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	captured, _ := pathUpdate(7)
+	waitFor("epoch 7", func() bool { return r.m.Epoch() == 7 })
+	_, root := pathUpdate(9)
+	waitFor("epoch 9", func() bool { return r.m.Epoch() == 9 })
+
+	r.ac.send("mem", wire.KindPathUpdate, captured, r.acKeys.Sign(captured))
+	waitFor("the replay to be counted", func() bool { return r.m.Stats().Snapshot()[obs.MetricPathUpdateStale] == 1 })
+	var key crypt.SymKey
+	_ = r.m.call(func() { key = r.m.view.AreaKey() })
+	if r.m.Epoch() != 9 || !key.Equal(root) {
+		t.Fatalf("a replayed PathUpdate rolled the member back to epoch %d", r.m.Epoch())
 	}
 }
 

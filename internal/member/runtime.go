@@ -191,6 +191,12 @@ func (m *Member) handlePathUpdate(f *wire.Frame) {
 	if pu.AreaID != m.areaID {
 		return
 	}
+	if pu.Epoch < m.view.Epoch() {
+		// A genuine PathUpdate replayed: rebasing would roll the view
+		// back to old keys and an old epoch.
+		obs.PathUpdateStale(m.Stats())
+		return
+	}
 	m.view.Rebase(pu.Path, pu.Epoch)
 	m.rekeys++
 }

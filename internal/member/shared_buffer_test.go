@@ -25,7 +25,7 @@ func attachDirect(m *Member, acPub crypt.PublicKey, path []keytree.PathKey, epoc
 
 // TestMembersShareDeliveredBufferReadOnly runs 32 real members, each on
 // its own loop goroutine, against one delivery buffer per multicast: a
-// signed leave rekey, then one data packet per registered suite and two
+// signed rekey, then one data packet per registered suite and two
 // with cipher tags no suite owns, are each sent as a single *wire.Frame
 // to every member, so every handler verifies, decodes and applies out of
 // the same backing array at the same time. The members must all follow
@@ -44,7 +44,7 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 	}
 	enc := keytree.NewSuiteEncryptor(suite)
 	tree := keytree.New(keytree.Config{Arity: 4, Encryptor: enc})
-	ids := make([]keytree.MemberID, residents+1)
+	ids := make([]keytree.MemberID, residents)
 	for i := range ids {
 		ids[i] = keytree.MemberID(fmt.Sprintf("m%02d", i))
 	}
@@ -104,7 +104,7 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 		f := &wire.Frame{Kind: kind, From: "ac", Body: body, Sig: sig}
 		shared, _ := f.Encode()
 		sum := sha256.Sum256(shared)
-		for _, id := range ids[:residents] {
+		for _, id := range ids {
 			if err := ac.Send(string(id), f); err != nil {
 				t.Fatalf("send %v to %s: %v", kind, id, err)
 			}
@@ -120,16 +120,17 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 		}
 	}
 
-	// The last preloaded member leaves: a leave-mode rekey every resident
-	// must follow.
-	res, err := tree.Batch(nil, ids[residents:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The uncut form (a scope table of just the root), so that all of them
-	// read the one buffer.
+	// A freshness rekey every resident must follow: nothing below the
+	// root changed, so the cut is one part and all of them read the one
+	// buffer.
+	res := tree.RefreshAreaKey()
+	var kc keytree.Cut
+	tree.Cut(res.Update, ids, &kc)
 	var cut wire.KeyUpdateCut
-	cut.Encode("area-x", res.Update, []keytree.NodeID{res.Update.Root})
+	cut.Encode("area-x", res.Epoch, &kc)
+	if kc.Parts() != 1 {
+		t.Fatalf("a freshness rekey was cut into %d parts", kc.Parts())
+	}
 	rekey, rekeySum := multicast(wire.KindKeyUpdate, cut.Body(0), acKeys.Sign(cut.Header()))
 	waitFor("every member to apply the rekey", func() bool {
 		for _, m := range members {

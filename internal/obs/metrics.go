@@ -538,5 +538,16 @@ func MetricKeyUpdateDropped(reason string) string {
 // absent series reads as zero.
 func KeyUpdateDropped(r *Registry, reason string) {
 	r.Counter(MetricKeyUpdateDropped(reason),
-		"KeyUpdate frames refused before any key changed, by reason: signature, body, area, part not cut for this receiver, part digest.").Inc()
+		"KeyUpdate frames refused before any key changed, by reason: signature, body, area, part not cut for this receiver, part's proof against the signed root.").Inc()
+}
+
+// MetricPathUpdateStale counts genuine PathUpdates a receiver refused
+// because they were older than its view — a replay, which would roll the
+// view back to old keys and an old epoch.
+const MetricPathUpdateStale = "mykil_pathupdate_stale_total"
+
+// PathUpdateStale counts one refused stale PathUpdate in r, registering
+// the series on first use as KeyUpdateDropped does.
+func PathUpdateStale(r *Registry) {
+	r.Counter(MetricPathUpdateStale, "PathUpdates refused for an epoch below the receiver's view (replays).").Inc()
 }

@@ -458,43 +458,33 @@ func (d *DataRef) read(r *codec.Reader) error {
 	return r.Err()
 }
 
-// keyUpdateScopeMinWire is the smallest encoded KeyUpdateScope: a
-// one-byte varint node ID plus the fixed-width digest.
-const keyUpdateScopeMinWire = 1 + sha256.Size
-
-// AppendHeader appends the update's header — area, epoch and scope
-// table. These are the bytes the controller signs, and every part of one
-// rekey carries them verbatim.
+// AppendHeader appends the update's header — area, epoch, part count and
+// Merkle root. These are the bytes the controller signs, and every part
+// of one rekey carries them verbatim.
 func (m KeyUpdate) AppendHeader(b []byte) []byte {
 	b = codec.AppendString(b, m.AreaID)
 	b = codec.AppendUvarint(b, m.Epoch)
-	b = codec.AppendUvarint(b, uint64(len(m.Scopes)))
-	for i := range m.Scopes {
-		b = codec.AppendVarint(b, int64(m.Scopes[i].Node))
-		b = codec.AppendRaw(b, m.Scopes[i].Digest[:])
-	}
-	return b
+	b = codec.AppendUvarint(b, uint64(m.Parts))
+	return codec.AppendRaw(b, m.Root[:])
 }
 
-// appendKeyUpdateFront appends what precedes the entry list in a
-// KindKeyUpdate frame body: the header as one length-prefixed field (so
-// a receiver can check its signature before decoding any of it) and the
-// part index.
-func appendKeyUpdateFront(b, header []byte, part int) []byte {
-	b = codec.AppendBytes(b, header)
-	return codec.AppendUvarint(b, uint64(part))
-}
-
-// AppendWire implements Marshaler.
+// AppendWire implements Marshaler: the header as one length-prefixed
+// field (so a receiver can check its signature before decoding any of
+// it), the leaf's index, its audit path, and the leaf.
 func (m KeyUpdate) AppendWire(b []byte) []byte {
-	b = appendKeyUpdateFront(b, m.AppendHeader(nil), m.Part)
-	return keytree.AppendEntries(b, m.Entries)
+	b = codec.AppendBytes(b, m.AppendHeader(nil))
+	b = codec.AppendUvarint(b, uint64(m.Index))
+	b = codec.AppendUvarint(b, uint64(len(m.Proof)))
+	for i := range m.Proof {
+		b = codec.AppendRaw(b, m.Proof[i][:])
+	}
+	return keytree.AppendLeaf(b, m.Scopes, m.Entries)
 }
 
-// ReadWire implements Unmarshaler. It decodes structure only — a part
-// index beyond the table, an empty table and a digest that does not match
-// are ReceiveKeyUpdate's to reject. The entries' ciphertexts borrow the
-// input (see keytree.ReadEntries).
+// ReadWire implements Unmarshaler. It decodes structure only — an index
+// beyond the count, a proof that does not lead to the root, a scope set
+// off the receiver's path are ReceiveKeyUpdate's to reject. The entries'
+// ciphertexts borrow the input (see keytree.ReadEntries).
 func (m *KeyUpdate) ReadWire(r *codec.Reader) error {
 	header := r.BorrowBytes()
 	if err := r.Err(); err != nil {
@@ -503,157 +493,216 @@ func (m *KeyUpdate) ReadWire(r *codec.Reader) error {
 	hr := codec.NewReader(header)
 	m.AreaID = hr.String()
 	m.Epoch = hr.Uvarint()
-	m.Scopes = nil
-	if n := hr.Count(keyUpdateScopeMinWire); n > 0 {
-		m.Scopes = make([]KeyUpdateScope, n)
-		for i := range m.Scopes {
-			m.Scopes[i].Node = keytree.NodeID(hr.Varint())
-			copy(m.Scopes[i].Digest[:], hr.BorrowRaw(sha256.Size))
-		}
-	}
+	parts := hr.Uvarint()
+	copy(m.Root[:], hr.BorrowRaw(sha256.Size))
 	if err := hr.Finish(); err != nil {
 		return fmt.Errorf("header: %w", err)
 	}
-	part := r.Uvarint()
-	if part > math.MaxInt32 {
-		return fmt.Errorf("%w: part index %d", codec.ErrValue, part)
+	index := r.Uvarint()
+	if parts > math.MaxInt32 || index > math.MaxInt32 {
+		return fmt.Errorf("%w: part %d of %d", codec.ErrValue, index, parts)
 	}
-	m.Part = int(part)
+	m.Parts, m.Index = int(parts), int(index)
+	m.Proof = nil
+	if n := r.Count(sha256.Size); n > 0 {
+		m.Proof = make([][sha256.Size]byte, n)
+		for i := range m.Proof {
+			copy(m.Proof[i][:], r.BorrowRaw(sha256.Size))
+		}
+	}
 	var err error
+	if m.Scopes, err = keytree.ReadScopes(r); err != nil {
+		return err
+	}
 	m.Entries, err = keytree.ReadEntries(r)
 	return err
 }
 
-// KeyUpdateCut is the send side of a KindKeyUpdate: one rekey encoded as
-// the header to sign and one frame body per scope. The zero value is
-// ready to use, and Encode reuses its buffers, so a controller keeps one.
+// KeyUpdateLeaves is a rekey cut into parts, each encoded as its leaf —
+// scope set, then entries (keytree.Cut).
+type KeyUpdateLeaves interface {
+	Parts() int
+	AppendLeaf(b []byte, part int) []byte
+}
+
+// KeyUpdateCut is the send side of a KindKeyUpdate: one cut rekey encoded
+// as the header to sign and one frame per part. The zero value is ready
+// to use, and Encode reuses its buffers, so a controller keeps one.
 type KeyUpdateCut struct {
 	header []byte
-	scopes []KeyUpdateScope
-	lists  []byte // every part's entry list, back to back
-	ends   []int  // part i's list ends at lists[ends[i]]
+	leaves []byte   // every part's leaf, back to back
+	ends   []int    // leaf i ends at leaves[ends[i]]
+	tree   []digest // the leaves' hashes, then every level above them
 }
 
-// Encode cuts u by scopes — u.Scopes for one part per touched root
-// subtree, or the single scope u.Root for the whole-area form a true
-// multicast transport would send — and hashes each part's entry list
-// into the header's scope table.
-func (c *KeyUpdateCut) Encode(areaID string, u *keytree.KeyUpdate, scopes []keytree.NodeID) {
-	c.lists, c.ends, c.scopes = c.lists[:0], c.ends[:0], c.scopes[:0]
-	for i, node := range scopes {
-		c.lists = u.AppendPart(c.lists, scopes, i)
-		c.ends = append(c.ends, len(c.lists))
-		c.scopes = append(c.scopes, KeyUpdateScope{Node: node, Digest: sha256.Sum256(c.list(i))})
+// Encode lays out the parts' leaves and the Merkle tree over them, and
+// builds the header that carries its root.
+func (c *KeyUpdateCut) Encode(areaID string, epoch uint64, parts KeyUpdateLeaves) {
+	n := parts.Parts()
+	c.leaves, c.ends, c.tree = c.leaves[:0], c.ends[:0], c.tree[:0]
+	for i := 0; i < n; i++ {
+		c.leaves = parts.AppendLeaf(c.leaves, i)
+		c.ends = append(c.ends, len(c.leaves))
+		c.tree = append(c.tree, hashLeaf(c.leaf(i)))
 	}
-	c.header = KeyUpdate{AreaID: areaID, Epoch: u.Epoch, Scopes: c.scopes}.AppendHeader(c.header[:0])
+	c.tree = appendLevels(c.tree, n)
+	root := sha256.Sum256(nil) // RFC 6962's hash of no leaves
+	if n > 0 {
+		root = c.tree[len(c.tree)-1]
+	}
+	c.header = KeyUpdate{AreaID: areaID, Epoch: epoch, Parts: n, Root: root}.AppendHeader(c.header[:0])
 }
 
-// list returns part i's encoded entry list.
-func (c *KeyUpdateCut) list(i int) []byte {
+func (c *KeyUpdateCut) leaf(i int) []byte {
 	start := 0
 	if i > 0 {
 		start = c.ends[i-1]
 	}
-	return c.lists[start:c.ends[i]]
+	return c.leaves[start:c.ends[i]]
 }
 
 // Header returns the bytes the controller signs, once, for every part.
 // Valid until the next Encode.
 func (c *KeyUpdateCut) Header() []byte { return c.header }
 
-// Body returns a fresh frame body carrying part i, for the members whose
-// first listed scope is scopes[i].
+// bodyLen returns the length of part i's frame body.
+func (c *KeyUpdateCut) bodyLen(i int) int {
+	proof := proofLen(uint64(i), uint64(len(c.ends)))
+	return codec.UvarintLen(uint64(len(c.header))) + len(c.header) + codec.UvarintLen(uint64(i)) +
+		codec.UvarintLen(uint64(proof)) + proof*sha256.Size + len(c.leaf(i))
+}
+
+// appendBody appends part i's frame body, as KeyUpdate.AppendWire lays it
+// out.
+func (c *KeyUpdateCut) appendBody(b []byte, i int) []byte {
+	b = codec.AppendBytes(b, c.header)
+	b = codec.AppendUvarint(b, uint64(i))
+	b = codec.AppendUvarint(b, uint64(proofLen(uint64(i), uint64(len(c.ends)))))
+	b = appendProof(b, c.tree, len(c.ends), i)
+	return codec.AppendRaw(b, c.leaf(i))
+}
+
+// Body returns a fresh frame body carrying part i.
 func (c *KeyUpdateCut) Body(i int) []byte {
-	list := c.list(i)
-	b := make([]byte, 0, len(c.header)+len(list)+2*binary.MaxVarintLen32)
-	return codec.AppendRaw(appendKeyUpdateFront(b, c.header, i), list)
+	return c.appendBody(make([]byte, 0, c.bodyLen(i)), i)
+}
+
+// Frames returns one frame per part, sent from `from` and signed by sig
+// (over Header). The frames are encoded back to back in one buffer that
+// they share as their cached encoding (frameEncoding.runEncoding): each
+// frame's Body is a window onto it, and Encode answers with the frame's
+// own bytes without building any. Every frame's Sig is sig itself, so a
+// flush's frames visibly share one signature.
+func (c *KeyUpdateCut) Frames(from string, sig []byte) []Frame {
+	frames := make([]Frame, len(c.ends))
+	head := 1 + codec.UvarintLen(uint64(len(from))) + len(from)
+	tail := codec.UvarintLen(uint64(len(sig))) + len(sig)
+	size := 0
+	for i := range frames {
+		n := c.bodyLen(i)
+		size += head + codec.UvarintLen(uint64(n)) + n + tail
+	}
+	buf := make([]byte, 0, size)
+	for i := range frames {
+		n := c.bodyLen(i)
+		buf = codec.AppendByte(buf, byte(KindKeyUpdate))
+		buf = codec.AppendString(buf, from)
+		buf = codec.AppendUvarint(buf, uint64(n))
+		buf = c.appendBody(buf, i)
+		f := &frames[i]
+		f.Kind, f.From, f.Body, f.Sig = KindKeyUpdate, from, buf[len(buf)-n:], sig
+		buf = codec.AppendBytes(buf, sig)
+	}
+	run := &frameEncoding{kind: KindKeyUpdate, from: from, body: buf, sig: sig, bytes: buf}
+	for i := range frames {
+		frames[i].enc.Store(run)
+	}
+	return frames
 }
 
 // ReceiveKeyUpdate is the receive side of a KindKeyUpdate frame, shared
 // by its two receivers (a member, and a controller as a member of its
-// parent's area). The frame's header must be signed by signer (§III-E) —
-// checked before a byte of it is decoded — and name areaID; the part the
-// frame carries must be the one cut for this receiver, the first listed
-// scope on view's path, and hash to the digest the header lists for it.
-// Its entries are then streamed out of the frame into view
-// (keytree.MemberView.ApplyWire), so no KeyUpdate value is built and
-// f.Body is only read.
+// parent's area). In order: the frame's header must be signed by signer
+// (§III-E) — checked before a byte of it is decoded; it must name areaID,
+// and the frame's leaf, folded up its audit path, must reach the root the
+// header signs; some scope of the leaf must lie on view's path, which
+// makes it the part cut for this receiver. Its entries are then streamed
+// out of the frame into view (keytree.MemberView.ApplyWire), so no
+// KeyUpdate value is built and f.Body is only read.
 //
 // It returns the update's epoch and nil once view stands at it;
 // keytree.ErrStale for a duplicate delivery, to ignore;
 // keytree.ErrEpochGap when updates were missed and the receiver must
 // recover its path; and crypt.ErrBadSignature, ErrBadBody, ErrWrongArea,
-// ErrWrongPart or ErrBadDigest for a frame to drop (KeyUpdateDropReason
+// ErrBadDigest or ErrWrongPart for a frame to drop (KeyUpdateDropReason
 // names them for counting). view is unchanged on every error.
 func ReceiveKeyUpdate(f *Frame, signer crypt.PublicKey, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	header, part, list, err := splitKeyUpdate(f.Body)
+	p, err := splitKeyUpdate(f.Body)
 	if err != nil {
 		return 0, err
 	}
-	if err := signer.Verify(header, f.Sig); err != nil {
+	if err := signer.Verify(p.header, f.Sig); err != nil {
 		return 0, err
 	}
-	return applyKeyUpdate(header, part, list, areaID, view)
+	return applyKeyUpdate(&p, areaID, view)
 }
 
-// splitKeyUpdate frames a body into its signed header, part index and
-// entry list without decoding any of the three.
-func splitKeyUpdate(body []byte) (header []byte, part uint64, list []byte, err error) {
+// keyUpdatePart is a KindKeyUpdate body framed but not decoded.
+type keyUpdatePart struct {
+	header, proof, leaf []byte
+	index               uint64
+}
+
+// splitKeyUpdate frames a body into its signed header, leaf index, audit
+// path and leaf without decoding the header or the leaf.
+func splitKeyUpdate(body []byte) (p keyUpdatePart, err error) {
 	r := codec.NewReader(body)
-	header = r.BorrowBytes()
-	part = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: %v", ErrBadBody, err)
+	p.header = r.BorrowBytes()
+	p.index = r.Uvarint()
+	hashes := r.Uvarint()
+	if hashes > uint64(r.Len()/sha256.Size) {
+		return p, fmt.Errorf("%w: audit path of %d hashes in %d bytes", ErrBadBody, hashes, r.Len())
 	}
-	return header, part, r.BorrowRaw(r.Len()), nil
+	p.proof = r.BorrowRaw(int(hashes) * sha256.Size)
+	if err := r.Err(); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	p.leaf = r.BorrowRaw(r.Len())
+	return p, nil
 }
 
 // applyKeyUpdate is ReceiveKeyUpdate after the signature check.
-func applyKeyUpdate(header []byte, part uint64, list []byte, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	epoch, err = checkKeyUpdatePart(header, part, list, areaID, view)
-	if err != nil {
-		return epoch, err
-	}
-	_, err = view.ApplyWire(epoch, codec.NewReader(list))
-	if err != nil && !errors.Is(err, keytree.ErrStale) && !errors.Is(err, keytree.ErrEpochGap) {
-		err = fmt.Errorf("%w: %v", ErrBadBody, err)
-	}
-	return epoch, err
-}
-
-// checkKeyUpdatePart decodes a verified header and checks that list is
-// the part it assigns to view's member: the first listed scope on the
-// member's path must be the frame's part, and list must hash to the
-// digest listed for it.
-func checkKeyUpdatePart(header []byte, part uint64, list []byte, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	r := codec.NewReader(header)
+func applyKeyUpdate(p *keyUpdatePart, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
+	r := codec.NewReader(p.header)
 	area := r.BorrowBytes()
 	epoch = r.Uvarint()
-	n := r.Count(keyUpdateScopeMinWire)
-	mine, want := -1, []byte(nil)
-	for i := 0; i < n; i++ {
-		node := keytree.NodeID(r.Varint())
-		digest := r.BorrowRaw(sha256.Size)
-		if mine < 0 && view.OnPath(node) {
-			mine, want = i, digest
-		}
-	}
+	parts := r.Uvarint()
+	root := r.BorrowRaw(sha256.Size)
 	if err := r.Finish(); err != nil {
 		return 0, fmt.Errorf("%w: header: %v", ErrBadBody, err)
 	}
 	if string(area) != areaID {
 		return epoch, ErrWrongArea
 	}
-	if n == 0 {
-		return epoch, fmt.Errorf("%w: header lists no scope", ErrBadBody)
+	if h, ok := foldProof(p.proof, p.leaf, p.index, parts); !ok || !bytes.Equal(h[:], root) {
+		return epoch, fmt.Errorf("%w: key update part %d of %d", ErrBadDigest, p.index, parts)
 	}
-	if mine < 0 || uint64(mine) != part {
-		return epoch, fmt.Errorf("%w: carries part %d of %d, receiver's is %d", ErrWrongPart, part, n, mine)
+	lr := codec.NewReader(p.leaf)
+	mine := false
+	for n := lr.Count(1); n > 0; n-- {
+		mine = view.OnPath(keytree.NodeID(lr.Varint())) || mine
 	}
-	if got := sha256.Sum256(list); !bytes.Equal(got[:], want) {
-		return epoch, fmt.Errorf("%w: key update part %d", ErrBadDigest, part)
+	if err := lr.Err(); err != nil {
+		return epoch, fmt.Errorf("%w: scopes: %v", ErrBadBody, err)
 	}
-	return epoch, nil
+	if !mine {
+		return epoch, fmt.Errorf("%w: part %d of %d has no scope on the receiver's path", ErrWrongPart, p.index, parts)
+	}
+	_, err = view.ApplyWire(epoch, lr)
+	if err != nil && !errors.Is(err, keytree.ErrStale) && !errors.Is(err, keytree.ErrEpochGap) {
+		err = fmt.Errorf("%w: %v", ErrBadBody, err)
+	}
+	return epoch, err
 }
 
 // KeyUpdateDropReason names why ReceiveKeyUpdate refused a frame, for the

@@ -162,8 +162,9 @@ func (r *Reader) Bool() bool {
 	}
 }
 
-// uvarintLen returns the minimal LEB128 encoding length of v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+// UvarintLen returns the minimal LEB128 encoding length of v: what
+// AppendUvarint appends for it.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Uvarint reads an unsigned LEB128 integer. Non-minimal encodings
 // (trailing zero continuation groups, e.g. 0x80 0x00 for zero) are
@@ -180,7 +181,7 @@ func (r *Reader) Uvarint() uint64 {
 	case n < 0:
 		r.fail(ErrValue) // 64-bit overflow
 		return 0
-	case n != uvarintLen(v):
+	case n != UvarintLen(v):
 		r.fail(ErrValue) // non-minimal encoding
 		return 0
 	}

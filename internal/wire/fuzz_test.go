@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mykil/internal/keytree"
+	"mykil/internal/wire/codec"
 )
 
 // FuzzDecodeFrame hardens the transport-facing decoder: arbitrary bytes
@@ -66,11 +67,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// fuzzKeyUpdate seeds both fuzzers with the cut KeyUpdate layout: a
-// two-scope table, the second part, two entries.
-var fuzzKeyUpdate = KeyUpdate{AreaID: "a", Epoch: 3,
-	Scopes: []KeyUpdateScope{{Node: 2, Digest: [32]byte{1}}, {Node: 0, Digest: [32]byte{2}}},
-	Part:   1,
+// fuzzKeyUpdate seeds both fuzzers with the cut KeyUpdate layout: part 1
+// of 3 with its two-hash audit path, two scopes, two entries.
+var fuzzKeyUpdate = KeyUpdate{AreaID: "a", Epoch: 3, Parts: 3, Root: [32]byte{3},
+	Index:  1,
+	Proof:  [][32]byte{{1}, {2}},
+	Scopes: []keytree.NodeID{2, 6},
 	Entries: []keytree.Entry{
 		{Node: 5, Under: 9, Ciphertext: []byte{0xE1}},
 		{Node: 0, Under: 0, Ciphertext: []byte{0xE2, 0xE3}},
@@ -95,11 +97,13 @@ func FuzzDecodePlain(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte("x"))
-	// KeyUpdate-shaped prefixes claiming 2^32 entries, and 2^32 scopes
-	// inside the nested header.
-	header := KeyUpdate{AreaID: "a", Epoch: 1}.AppendHeader(nil)
-	f.Add(append(appendKeyUpdateFront(nil, header, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
-	f.Add(appendKeyUpdateFront(nil, append(header[:len(header)-1], 0xFF, 0xFF, 0xFF, 0xFF, 0x0F), 0))
+	// KeyUpdate-shaped bodies claiming 2^32 proof hashes, 2^32 scopes
+	// and 2^32 entries.
+	front := codec.AppendBytes(nil, KeyUpdate{AreaID: "a", Epoch: 1}.AppendHeader(nil))
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	f.Add(append(append(bytes.Clone(front), 0), huge...))
+	f.Add(append(append(bytes.Clone(front), 0, 0), huge...))
+	f.Add(append(append(bytes.Clone(front), 0, 0, 0), huge...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range liveKinds() {
 			body, ok := NewBody(k)

@@ -88,9 +88,10 @@ func goldenBodies() map[Kind]Marshaler {
 		KindRejoinDenied: RejoinDenied{ClientID: "c1", Reason: "cohort"},
 		KindData: Data{Origin: "m1", OriginArea: "area-0", Seq: 5, FromArea: "area-1",
 			Cipher: CipherAES, EncKey: []byte{9, 9, 9}, Payload: []byte("payload")},
-		KindKeyUpdate: KeyUpdate{AreaID: "area-0", Epoch: 14,
-			Scopes: []KeyUpdateScope{{Node: 3, Digest: goldenDigest(0x40)}, {Node: 1, Digest: goldenDigest(0x60)}},
-			Part:   1,
+		KindKeyUpdate: KeyUpdate{AreaID: "area-0", Epoch: 14, Parts: 3, Root: goldenDigest(0x40),
+			Index:  1,
+			Proof:  [][sha256.Size]byte{goldenDigest(0x60), goldenDigest(0x80)},
+			Scopes: []keytree.NodeID{3, 4},
 			Entries: []keytree.Entry{
 				{Node: 7, Under: 9, Ciphertext: []byte{0xE1, 0xE2}},
 				{Node: 3, Under: 3, Ciphertext: []byte{0xE3}},

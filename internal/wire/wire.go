@@ -179,13 +179,38 @@ type Frame struct {
 	enc atomic.Pointer[frameEncoding]
 }
 
-// frameEncoding is one cached Frame.Encode result. It is never modified
-// after it is published.
+// frameEncoding is one cached Frame.Encode result, or — when body is
+// bytes itself — the shared encoding of a run of frames that differ only
+// in their bodies (see runEncoding). It is never modified after it is
+// published.
 type frameEncoding struct {
 	kind      Kind
 	from      string
 	body, sig []byte // compared by identity, not content
 	bytes     []byte
+}
+
+// runEncoding returns the encoding of the run's frame whose Body is body,
+// or nil if body is not one of the run's bodies. The run's frames are
+// encoded back to back in e.bytes, and each frame's Body is a window onto
+// them whose capacity reaches their end: that capacity places the body,
+// and the bytes before it must be the frame's kind, sender and body
+// length.
+func (e *frameEncoding) runEncoding(body []byte) []byte {
+	at := cap(e.bytes) - cap(body)
+	if len(body) == 0 || at < 0 || at >= len(e.bytes) || &e.bytes[at] != &body[0] {
+		return nil
+	}
+	start := at - 1 - codec.UvarintLen(uint64(len(e.from))) - len(e.from) - codec.UvarintLen(uint64(len(body)))
+	end := at + len(body) + codec.UvarintLen(uint64(len(e.sig))) + len(e.sig)
+	if start < 0 || end > len(e.bytes) {
+		return nil
+	}
+	r := codec.NewReader(e.bytes[start:at])
+	if Kind(r.Byte()) != e.kind || string(r.BorrowBytes()) != e.from || r.Uvarint() != uint64(len(body)) || r.Finish() != nil {
+		return nil
+	}
+	return e.bytes[start:end:end]
 }
 
 // sameSlice reports whether a and b are the same window onto the same
@@ -207,9 +232,14 @@ func sameSlice(a, b []byte) bool {
 // rather than sending stale bytes. Writing into Body's or Sig's array in
 // place is not detected; the immutability rule above forbids it.
 func (f *Frame) Encode() ([]byte, error) {
-	if e := f.enc.Load(); e != nil && e.kind == f.Kind && e.from == f.From &&
-		sameSlice(e.body, f.Body) && sameSlice(e.sig, f.Sig) {
-		return e.bytes, nil
+	if e := f.enc.Load(); e != nil && e.kind == f.Kind && e.from == f.From && sameSlice(e.sig, f.Sig) {
+		if !sameSlice(e.body, e.bytes) {
+			if sameSlice(e.body, f.Body) {
+				return e.bytes, nil
+			}
+		} else if b := e.runEncoding(f.Body); b != nil {
+			return b, nil
+		}
 	}
 	b := make([]byte, 0, 1+3*binary.MaxVarintLen32+len(f.From)+len(f.Body)+len(f.Sig))
 	b = codec.AppendByte(b, byte(f.Kind))
@@ -510,28 +540,22 @@ type Data struct {
 // signed with the area controller's private key (§III-E: "each key update
 // message is signed using the private key of the area controller").
 //
-// A rekey is cut per root subtree: the signed part is a header naming
-// the area, the epoch and one scope per part, and a frame carries that
-// header with one part's entries — Scopes[Part]'s. One signature thus
-// covers every part, and a member is sent only the entries its own
-// subtree can open. A single scope, the tree's root, is the uncut form.
+// A rekey is cut into parts, one per set of receivers that open the same
+// entries (keytree.Cut): each part's leaf is its scope set and entries.
+// The signed header names the area, the epoch, the part count and the
+// Merkle root over the leaves; a frame carries that header, one leaf and
+// the leaf's audit path (RFC 6962). One signature thus covers every part,
+// and a member is sent only its own path's entries.
 type KeyUpdate struct {
 	AreaID string
 	Epoch  uint64
-	// Scopes is the signed table: root children with entries of their
-	// own first, the root last.
-	Scopes []KeyUpdateScope
-	// Part indexes Scopes: the part whose entries this frame carries.
-	Part    int
+	Parts  int                 // header: how many leaves the root covers
+	Root   [sha256.Size]byte   // header: RFC 6962 tree hash of the leaves
+	Index  int                 // this frame's leaf
+	Proof  [][sha256.Size]byte // the leaf's audit path, bottom-up
+	// The leaf: the part's scopes, then its entries.
+	Scopes  []keytree.NodeID
 	Entries []keytree.Entry
-}
-
-// KeyUpdateScope is one row of a KeyUpdate's scope table: the part for
-// the members whose first listed scope on their root path is Node, and
-// the SHA-256 of that part's keytree.AppendEntries encoding.
-type KeyUpdateScope struct {
-	Node   keytree.NodeID
-	Digest [sha256.Size]byte
 }
 
 // PathUpdate delivers fresh path keys to a single member, sealed to its
