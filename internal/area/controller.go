@@ -245,6 +245,9 @@ type parentState struct {
 	info   PeerInfo
 	areaID string
 	view   *keytree.MemberView
+	// kuKey is the MAC key the parent tags our KeyUpdates under, derived
+	// from view's leaf key.
+	kuKey wire.KeyUpdateKey
 	// suite is the parent area's negotiated cipher suite: it opens
 	// parent-relayed EncKeys and seals up-forwarded ones.
 	suite    crypt.Suite
@@ -272,12 +275,11 @@ type Controller struct {
 	// (relayAddrs); nil after a membership change (membersChanged).
 	memberAddrs []string
 
-	// multicastKeyUpdate's scratch, reused by every flush: the receivers
-	// and their addresses, the cut, and the encoder's leaves and tree.
+	// multicastKeyUpdate's scratch, reused by every flush: the receivers,
+	// their addresses, and the cut.
 	kuIDs   []keytree.MemberID
 	kuAddrs []string
 	kuCut   keytree.Cut
-	kuEnc   wire.KeyUpdateCut
 
 	joinSessions   map[string]*joinSession
 	rejoinSessions map[string]*rejoinSession
@@ -330,6 +332,7 @@ type Controller struct {
 	cJoins         *obs.Counter
 	cRejoins       *obs.Counter
 	cLeaves        *obs.Counter
+	cLeaveForged   *obs.Counter
 	cEvictions     *obs.Counter
 	cRekeys        *obs.Counter
 	cRekeyEntries  *obs.Counter
@@ -357,11 +360,12 @@ const (
 	StatJoins         = "ac.joins"          // members admitted via the join protocol
 	StatRejoins       = "ac.rejoins"        // members admitted via tickets
 	StatLeaves        = "ac.leaves"         // voluntary departures processed
+	StatLeaveForged   = "ac.leave.bad_mac"  // leave notices dropped: not tagged under the named member's leaf key
 	StatEvictions     = "ac.evictions"      // silent members terminated (§IV-A)
 	StatRekeys        = "ac.rekeys"         // rekey operations performed
 	StatRekeyEntries  = "ac.rekey.entries"  // encrypted keys across all rekeys
-	StatRekeyParts    = "ac.rekey.parts"    // KeyUpdate parts sent (distinct bodies under one signature each rekey)
-	StatRekeyBytes    = "ac.rekey.bytes"    // KeyUpdate body+signature bytes handed to the transport, all receivers
+	StatRekeyParts    = "ac.rekey.parts"    // KeyUpdate frames sent, one per receiver of each rekey
+	StatRekeyBytes    = "ac.rekey.bytes"    // KeyUpdate body bytes handed to the transport, all receivers
 	StatDataRelayed   = "ac.data.relayed"   // data frames relayed within the area
 	StatDataForwarded = "ac.data.forwarded" // data frames forwarded to the parent
 	StatRejoinDenied  = "ac.rejoin.denied"  // rejoins refused
@@ -401,11 +405,12 @@ func New(cfg Config) (*Controller, error) {
 	c.cJoins = c.metrics.Counter(StatJoins, "Members admitted via the 7-step join protocol.")
 	c.cRejoins = c.metrics.Counter(StatRejoins, "Members admitted via ticket rejoin.")
 	c.cLeaves = c.metrics.Counter(StatLeaves, "Voluntary departures processed.")
+	c.cLeaveForged = c.metrics.Counter(StatLeaveForged, "Leave notices dropped because they are not tagged under the leaf key of the member they name.")
 	c.cEvictions = c.metrics.Counter(StatEvictions, "Silent members terminated (T_idle policy).")
 	c.cRekeys = c.metrics.Counter(StatRekeys, "Rekey operations performed.")
 	c.cRekeyEntries = c.metrics.Counter(StatRekeyEntries, "Encrypted key entries across all rekeys.")
-	c.cRekeyParts = c.metrics.Counter(StatRekeyParts, "KeyUpdate parts sent: one per set of members that open the same entries of a rekey, all under one signature.")
-	c.cRekeyBytes = c.metrics.Counter(StatRekeyBytes, "KeyUpdate body and signature bytes handed to the transport, summed over receivers.")
+	c.cRekeyParts = c.metrics.Counter(StatRekeyParts, "KeyUpdate frames sent: one per receiver of a rekey, each its own part under its own tag.")
+	c.cRekeyBytes = c.metrics.Counter(StatRekeyBytes, "KeyUpdate body bytes handed to the transport, summed over receivers.")
 	c.cDataRelayed = c.metrics.Counter(StatDataRelayed, "Data frames relayed within the area.")
 	c.cDataForwarded = c.metrics.Counter(StatDataForwarded, "Data frames forwarded to the parent area.")
 	c.cRejoinDenied = c.metrics.Counter(StatRejoinDenied, "Rejoins refused.")

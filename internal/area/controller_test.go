@@ -13,6 +13,7 @@ import (
 	"mykil/internal/ticket"
 	"mykil/internal/transport"
 	"mykil/internal/wire"
+	"mykil/internal/wire/codec"
 )
 
 var (
@@ -301,22 +302,87 @@ func TestStep6BeforeReferralParksAndCompletes(t *testing.T) {
 	}
 }
 
+// leafKey returns the key of member id's leaf in the controller's tree.
+func (r *rig) leafKey(id string) crypt.SymKey {
+	r.t.Helper()
+	var leaf crypt.SymKey
+	if err := r.ctrl.call(func() {
+		pk, err := r.ctrl.tree.PathKeys(keytree.MemberID(id))
+		if err != nil {
+			r.t.Errorf("path of %s: %v", id, err)
+			return
+		}
+		leaf = pk[0].Key
+	}); err != nil {
+		r.t.Fatal(err)
+	}
+	return leaf
+}
+
+// leave sends member id's leave notice, tagged under its leaf key, from
+// tr.
+func (r *rig) leave(tr transport.Transport, id string) {
+	r.t.Helper()
+	body, _ := wire.PlainBody(wire.NewLeaveNotice(id, r.leafKey(id)))
+	if err := tr.Send("ac-0", &wire.Frame{Kind: wire.KindLeaveNotice, From: tr.Addr(), Body: body}); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// waitGone waits until the controller no longer has member id.
+func (r *rig) waitGone(id string) {
+	r.t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); r.ctrl.HasMember(id); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("%s was never removed", id)
+		}
+	}
+}
+
 func TestLeaveNoticeRemovesMember(t *testing.T) {
 	r := newRig(t, nil)
 	r.join("c1")
-	body, err := wire.PlainBody(wire.LeaveNotice{MemberID: "c1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.cli.Send("ac-0", &wire.Frame{Kind: wire.KindLeaveNotice, From: "cli", Body: body}); err != nil {
-		t.Fatal(err)
-	}
+	r.leave(r.cli, "c1")
 	deadline := time.Now().Add(5 * time.Second)
 	for r.ctrl.HasMember("c1") {
 		if time.Now().After(deadline) {
 			t.Fatal("member not removed")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestForgedLeaveNoticeEvictsNobody: a leave notice naming c1, sent from
+// another endpoint — bare, as an unauthenticated notice would be, or
+// tagged under any key but c1's leaf key — evicts nobody, and each tagged
+// forgery is counted. A genuine notice for c2, which the same endpoint
+// sends after them, is what the controller acts on: by the time c2 is
+// gone, the forgeries before it have been handled.
+func TestForgedLeaveNoticeEvictsNobody(t *testing.T) {
+	r := newRig(t, nil)
+	r.join("c1")
+	r.join("c2")
+	forge := func(body []byte) {
+		t.Helper()
+		if err := r.peer.Send("ac-0", &wire.Frame{Kind: wire.KindLeaveNotice, From: "ac-peer", Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forge(codec.AppendString(nil, "c1"))
+	for _, key := range []crypt.SymKey{crypt.NewSymKey(), r.leafKey("c2"), {}} {
+		body, _ := wire.PlainBody(wire.NewLeaveNotice("c1", key))
+		forge(body)
+	}
+	r.leave(r.peer, "c2")
+	r.waitGone("c2")
+	if !r.ctrl.HasMember("c1") {
+		t.Fatal("a forged leave notice evicted c1")
+	}
+	if got := r.ctrl.Stats().Value(StatLeaveForged); got != 3 {
+		t.Errorf("%s = %d, want the 3 tagged forgeries", StatLeaveForged, got)
+	}
+	if got := r.ctrl.Stats().Value(StatLeaves); got != 1 {
+		t.Errorf("%s = %d, want 1", StatLeaves, got)
 	}
 }
 
@@ -594,7 +660,7 @@ func TestKeyUpdateSignedAndAppliesToMembers(t *testing.T) {
 	w1 := r.join("c1")
 	view := keytree.NewMemberView(w1.Path, w1.Epoch, keytree.NewSuiteEncryptor(nil))
 
-	// Second member joins; c1 must receive a signed rekey it can apply.
+	// Second member joins; c1 must receive a rekey it can apply.
 	cli2Keys := keyPair(t)
 	tr2, err := transport.NewSim(r.net, "cli2")
 	if err != nil {
@@ -623,24 +689,18 @@ func TestKeyUpdateSignedAndAppliesToMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// c1 receives either a signed KeyUpdate or a signed PathUpdate
-	// (displacement), depending on tree shape; with a single prior member
-	// at the root it is a displacement.
+	// c1 receives either a KeyUpdate tagged under its leaf key or a
+	// signed PathUpdate (displacement), depending on tree shape; with a
+	// single prior member at the root it is a displacement.
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
 		case f := <-r.cli.Recv():
 			switch f.Kind {
 			case wire.KindKeyUpdate:
-				if err := r.acKeys.Public().Verify(f.Body, f.Sig); err != nil {
-					t.Fatalf("key update signature: %v", err)
-				}
-				var u wire.KeyUpdate
-				if err := wire.DecodePlain(f.Body, &u); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := view.Apply(&keytree.KeyUpdate{Epoch: u.Epoch, Entries: u.Entries}); err != nil {
-					t.Fatalf("apply: %v", err)
+				var key wire.KeyUpdateKey
+				if _, err := wire.ReceiveKeyUpdate(f, &key, "area-0", view); err != nil {
+					t.Fatalf("key update: %v", err)
 				}
 				return
 			case wire.KindPathUpdate:
@@ -805,14 +865,8 @@ func TestBatchingDuplicateLeaveNotices(t *testing.T) {
 	r.ctrl.FlushBatch()
 	recvKind(t, r.cli, wire.KindJoinWelcome)
 
-	body, err := wire.PlainBody(wire.LeaveNotice{MemberID: "c1"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		if err := r.cli.Send("ac-0", &wire.Frame{Kind: wire.KindLeaveNotice, From: "cli", Body: body}); err != nil {
-			t.Fatal(err)
-		}
+		r.leave(r.cli, "c1")
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for r.ctrl.PendingEvents() != 1 {
@@ -839,13 +893,7 @@ func TestStatsCounters(t *testing.T) {
 	if got := r.ctrl.Stats().Value(StatRekeys); got != 1 {
 		t.Errorf("rekeys = %d, want 1", got)
 	}
-	body, err := wire.PlainBody(wire.LeaveNotice{MemberID: "c1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.cli.Send("ac-0", &wire.Frame{Kind: wire.KindLeaveNotice, From: "cli", Body: body}); err != nil {
-		t.Fatal(err)
-	}
+	r.leave(r.cli, "c1")
 	deadline := time.Now().Add(5 * time.Second)
 	for r.ctrl.Stats().Value(StatLeaves) != 1 {
 		if time.Now().After(deadline) {
@@ -999,10 +1047,8 @@ func TestParentKeyUpdateReceive(t *testing.T) {
 		}
 		var kc keytree.Cut
 		tree.Cut(res.Update, receivers, &kc)
-		var cut wire.KeyUpdateCut
-		cut.Encode(areaID, res.Epoch, &kc)
-		f := &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac-peer", Body: cut.Body(kc.Part(0)), Sig: r.peerKeys.Sign(cut.Header())}
-		if err := r.peer.Send("ac-0", f); err != nil {
+		frames := wire.KeyUpdateFrames("ac-peer", areaID, res.Epoch, &kc)
+		if err := r.peer.Send("ac-0", &frames[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,7 +26,7 @@ func (c *Controller) flush() {
 
 // applyBatch performs one tree operation covering the given admissions and
 // leaves, then sends: step-7/step-6 welcomes to joiners, fresh paths to
-// displaced members, and the signed rekey multicast to everyone else.
+// displaced members, and each other member its tagged part of the rekey.
 func (c *Controller) applyBatch(joins []pendingAdmission, leaves []string) {
 	// Drain in-flight data-plane jobs first: data sealed under the
 	// outgoing area key must reach the wire before the key update does.
@@ -143,18 +143,17 @@ func (c *Controller) applyBatch(joins []pendingAdmission, leaves []string) {
 	}
 	c.sealSends(jobs)
 
-	// Multicast the signed rekey message to remaining members (§III-E:
-	// "each key update message is signed using the private key of the
-	// area controller").
+	// Send the rekey to the remaining members, each its own part under
+	// its own leaf key's tag (§III-E signs one multicast instead; DESIGN
+	// §8).
 	c.multicastKeyUpdate(res)
 }
 
 // multicastKeyUpdate distributes a rekey message to every member that did
 // not receive fresh keys by unicast (res.Joined, res.Displaced). The
 // update is cut so that each member is sent its own path's entries
-// (keytree.Cut) and signed once, over a header carrying the Merkle root
-// of the parts; every member is sent that header, its part and the
-// part's audit path.
+// (keytree.Cut), tagged under a key derived from the member's leaf key,
+// which only the member and this controller hold: nothing is signed.
 func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult) {
 	u := res.Update
 	if u == nil || len(u.Entries) == 0 {
@@ -173,21 +172,20 @@ func (c *Controller) multicastKeyUpdate(res *keytree.BatchResult) {
 		c.kuAddrs = append(c.kuAddrs, entry.addr)
 	}
 	c.tree.Cut(u, c.kuIDs, &c.kuCut)
-	c.kuEnc.Encode(c.cfg.AreaID, u.Epoch, &c.kuCut)
-	frames := c.kuEnc.Frames(c.cfg.Transport.Addr(), c.cfg.Keys.Sign(c.kuEnc.Header()))
+	frames := wire.KeyUpdateFrames(c.cfg.Transport.Addr(), c.cfg.AreaID, u.Epoch, &c.kuCut)
 
-	var sent int64
+	var sent, parts int64
 	for i, addr := range c.kuAddrs {
-		part := c.kuCut.Part(i)
-		if part < 0 {
+		f := &frames[i]
+		if f.Kind == 0 {
 			c.cfg.Logf("%s: key update for %s: %v", c.cfg.ID, c.kuIDs[i], keytree.ErrMemberUnknown)
 			continue
 		}
-		f := &frames[part]
-		sent += int64(len(f.Body) + len(f.Sig))
+		sent += int64(len(f.Body))
+		parts++
 		c.send(addr, f)
 	}
-	c.cRekeyParts.Add(int64(len(frames)))
+	c.cRekeyParts.Add(parts)
 	c.cRekeyBytes.Add(sent)
 	c.lastAreaSend = c.clk.Now()
 }

@@ -212,7 +212,7 @@ func (c *Controller) handleParentKeyUpdate(f *wire.Frame) {
 	if c.parent == nil || f.From != c.parent.info.Addr {
 		return
 	}
-	_, err := wire.ReceiveKeyUpdate(f, c.parent.info.Pub, c.parent.areaID, c.parent.view)
+	_, err := wire.ReceiveKeyUpdate(f, &c.parent.kuKey, c.parent.areaID, c.parent.view)
 	switch {
 	case err == nil:
 		// Keep the journaled parent view current so a restart can keep

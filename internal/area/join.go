@@ -149,10 +149,19 @@ func (c *Controller) admit(p pendingAdmission) {
 	c.applyBatch([]pendingAdmission{p}, nil)
 }
 
-// handleLeaveNotice processes a voluntary leave.
+// handleLeaveNotice processes a voluntary leave: one tagged under the
+// leaf key of the member it names, which only that member and this
+// controller hold (DESIGN §8, obligation 10). Any other is dropped and
+// counted, so no endpoint can evict a member by naming it.
 func (c *Controller) handleLeaveNotice(f *wire.Frame) {
 	var msg wire.LeaveNotice
 	if err := wire.DecodePlain(f.Body, &msg); err != nil {
+		return
+	}
+	pk, err := c.tree.PathKeys(keytree.MemberID(msg.MemberID))
+	if err != nil || !msg.Verify(pk[0].Key) {
+		c.cLeaveForged.Inc()
+		c.cfg.Logf("%s: leave notice for %q from %s dropped: not tagged under its leaf key", c.cfg.ID, msg.MemberID, f.From)
 		return
 	}
 	c.removeMember(msg.MemberID)

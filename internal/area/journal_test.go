@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mykil/internal/journal"
-	"mykil/internal/wire"
 )
 
 // TestJournalReplayDeterministic is the byte-level replay check: a
@@ -38,13 +37,7 @@ func TestJournalReplayDeterministic(t *testing.T) {
 	for _, id := range []string{"c1", "c2", "c3"} {
 		r.join(id)
 	}
-	body, err := wire.PlainBody(wire.LeaveNotice{MemberID: "c2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.cli.Send("ac-0", &wire.Frame{Kind: wire.KindLeaveNotice, From: "cli", Body: body}); err != nil {
-		t.Fatal(err)
-	}
+	r.leave(r.cli, "c2")
 	deadline := time.Now().Add(5 * time.Second)
 	for r.ctrl.HasMember("c2") {
 		if time.Now().After(deadline) {

@@ -177,13 +177,12 @@ func (c *schedCache[T]) get(k SymKey, build func(SymKey) T) T {
 // ---- legacy: AES-128-CTR + HMAC-SHA256 (encrypt-then-MAC) ----
 
 // legacySchedule is the precomputed per-key state for the legacy suite:
-// the expanded AES block cipher plus the HMAC inner/outer digest states
-// (key xor ipad / key xor opad already absorbed), so the hot path runs
-// without hmac.New or aes.NewCipher allocations.
+// the expanded AES block cipher plus the HMAC pads already absorbed
+// (MACKey), so the hot path runs without hmac.New or aes.NewCipher
+// allocations.
 type legacySchedule struct {
 	block cipher.Block
-	inner []byte // marshaled sha256 state after absorbing K xor ipad
-	outer []byte // marshaled sha256 state after absorbing K xor opad
+	mac   MACKey
 }
 
 // marshalableHash is sha256.New's concrete capability set: the digest
@@ -202,57 +201,19 @@ func newLegacySchedule(k SymKey) *legacySchedule {
 	if err != nil {
 		panic(fmt.Sprintf("crypt: aes key setup: %v", err)) // key length fixed
 	}
-	mk := macKeyFor(k)
-	var ipad, opad [sha256.BlockSize]byte
-	for i := range ipad {
-		ipad[i], opad[i] = 0x36, 0x5c
-	}
-	for i, b := range mk {
-		ipad[i] ^= b
-		opad[i] ^= b
-	}
-	hi := sha256.New().(marshalableHash)
-	hi.Write(ipad[:])
-	inner, err := hi.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("crypt: marshaling sha256 state: %v", err))
-	}
-	ho := sha256.New().(marshalableHash)
-	ho.Write(opad[:])
-	outer, err := ho.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("crypt: marshaling sha256 state: %v", err))
-	}
-	return &legacySchedule{block: block, inner: inner, outer: outer}
+	return &legacySchedule{block: block, mac: newMACKey(macKeyFor(k))}
 }
 
 // legacyScratch holds the fixed-size working buffers the legacy hot
-// path threads through interface calls (cipher.Block.Encrypt,
-// hash.Hash.Sum). Locals passed across an interface boundary escape to
-// the heap, so these live in a pool instead of on the stack.
+// path threads through interface calls (cipher.Block.Encrypt). Locals
+// passed across an interface boundary escape to the heap, so these live
+// in a pool instead of on the stack.
 type legacyScratch struct {
-	ctr, ks       [aes.BlockSize]byte
-	innerSum, sum [sha256.Size]byte
+	ctr, ks [aes.BlockSize]byte
+	sum     [sha256.Size]byte
 }
 
 var legacyScratchPool = sync.Pool{New: func() any { return new(legacyScratch) }}
-
-// tag writes HMAC-SHA256(data) into dst (exactly symTagLen bytes)
-// without allocating: pooled digest, restored precomputed states.
-func (s *legacySchedule) tag(dst, data []byte, sc *legacyScratch) {
-	d := sha256Pool.Get().(marshalableHash)
-	if err := d.UnmarshalBinary(s.inner); err != nil {
-		panic(fmt.Sprintf("crypt: restoring sha256 state: %v", err))
-	}
-	d.Write(data)
-	d.Sum(sc.innerSum[:0])
-	if err := d.UnmarshalBinary(s.outer); err != nil {
-		panic(fmt.Sprintf("crypt: restoring sha256 state: %v", err))
-	}
-	d.Write(sc.innerSum[:])
-	d.Sum(dst[:0])
-	sha256Pool.Put(d)
-}
 
 // ctrXOR applies AES-CTR keystream (iv as the initial counter block,
 // big-endian increment — exactly cipher.NewCTR's discipline) to src into
@@ -305,7 +266,7 @@ func (s *legacySuite) SealTo(dst []byte, k SymKey, plaintext []byte) []byte {
 	}
 	sc := legacyScratchPool.Get().(*legacyScratch)
 	ctrXOR(sched.block, nonce, out[symNonceLen:symNonceLen+len(plaintext)], plaintext, sc)
-	sched.tag(out[symNonceLen+len(plaintext):], out[:symNonceLen+len(plaintext)], sc)
+	sched.mac.sum(out[symNonceLen+len(plaintext):], out[:symNonceLen+len(plaintext)])
 	legacyScratchPool.Put(sc)
 	return dst
 }
@@ -321,7 +282,7 @@ func (s *legacySuite) OpenTo(dst []byte, k SymKey, blob []byte) ([]byte, error) 
 	sched := s.sched.get(k, newLegacySchedule)
 	sc := legacyScratchPool.Get().(*legacyScratch)
 	defer legacyScratchPool.Put(sc)
-	sched.tag(sc.sum[:], body, sc)
+	sched.mac.sum(sc.sum[:], body)
 	if subtle.ConstantTimeCompare(tag, sc.sum[:]) != 1 {
 		return nil, ErrDecrypt
 	}

@@ -27,6 +27,12 @@ func (e Entry) AppendWire(b []byte) []byte {
 	return codec.AppendBytes(b, e.Ciphertext)
 }
 
+// WireLen returns the length of the entry's AppendWire encoding.
+func (e Entry) WireLen() int {
+	return codec.VarintLen(int64(e.Node)) + codec.VarintLen(int64(e.Under)) +
+		codec.UvarintLen(uint64(len(e.Ciphertext))) + len(e.Ciphertext)
+}
+
 // ReadWire decodes an Entry written by AppendWire. Ciphertext borrows
 // the reader's input instead of copying it: a member unwraps the handful
 // of entries on its own path into fresh keys and drops the rest, so a
@@ -46,34 +52,6 @@ func AppendEntries(b []byte, es []Entry) []byte {
 		b = e.AppendWire(b)
 	}
 	return b
-}
-
-// AppendLeaf appends one part of a cut KeyUpdate (see Cut): its scope set
-// as a counted list of node IDs, then its entries as an AppendEntries
-// list.
-func AppendLeaf(b []byte, scopes []NodeID, es []Entry) []byte {
-	return AppendEntries(appendScopes(b, scopes), es)
-}
-
-func appendScopes(b []byte, scopes []NodeID) []byte {
-	b = codec.AppendUvarint(b, uint64(len(scopes)))
-	for _, s := range scopes {
-		b = codec.AppendVarint(b, int64(s))
-	}
-	return b
-}
-
-// ReadScopes decodes a leaf's scope set; the entry list follows it.
-func ReadScopes(r *codec.Reader) ([]NodeID, error) {
-	n := r.Count(1)
-	if n == 0 {
-		return nil, r.Err()
-	}
-	ss := make([]NodeID, n)
-	for i := range ss {
-		ss[i] = NodeID(r.Varint())
-	}
-	return ss, r.Err()
 }
 
 // ReadEntries decodes an AppendEntries list.

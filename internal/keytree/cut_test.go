@@ -2,18 +2,18 @@ package keytree
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mykil/internal/wire/codec"
 )
 
-// TestCutSiblingScopesShareAPart: one join into a full 64-member, arity-4
-// area rekeys the joiner's root path in join mode, one entry per level.
-// Off that path nothing changed, so at each level the three siblings of
-// the path's node are scopes with the same list — the entries above
-// them — and share one part: three parts of three scopes, carrying 3, 2
-// and 1 entries, where a per-member cut would have sent 62 bodies.
-func TestCutSiblingScopesShareAPart(t *testing.T) {
+// TestCutOwnPathAndLeaf: one join into a full 64-member, arity-4 area
+// rekeys the joiner's root path in join mode, one entry per level. Each
+// resident is cut exactly the entries on its own path — 1 to 3 of them,
+// by how much of its path the joiner shares — with the key of its own
+// leaf; a receiver outside the tree gets nothing.
+func TestCutOwnPathAndLeaf(t *testing.T) {
 	tr := New(Config{Encryptor: AccountingEncryptor{}})
 	ids := make([]MemberID, 64)
 	for i := range ids {
@@ -34,30 +34,59 @@ func TestCutSiblingScopesShareAPart(t *testing.T) {
 	}
 	var c Cut
 	tr.Cut(res.Update, receivers, &c)
-	if c.Parts() != 3 {
-		t.Fatalf("cut %d entries into %d parts, want 3", len(res.Update.Entries), c.Parts())
+	if c.Len() != len(receivers) {
+		t.Fatalf("cut for %d receivers, want %d", c.Len(), len(receivers))
 	}
-	for p := 0; p < c.Parts(); p++ {
-		r := codec.NewReader(c.AppendLeaf(nil, p))
-		scopes, err := ReadScopes(r)
+	sizes := map[int]int{}
+	for i, m := range receivers {
+		path, err := tr.PathNodeIDs(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, err := ReadEntries(r)
+		pk, err := tr.PathKeys(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(scopes) != 3 || len(entries) != 3-p {
-			t.Errorf("part %d: %d scopes, %d entries; want 3 scopes, %d entries", p, len(scopes), len(entries), 3-p)
+		if leaf, ok := c.Leaf(i); !ok || leaf != pk[0].Key {
+			t.Fatalf("%s: cut names leaf key %x (member %v), tree holds %x", m, leaf, ok, pk[0].Key)
 		}
+		entries, err := ReadEntries(codec.NewReader(c.AppendEntries(nil, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !slices.Contains(path, e.Under) {
+				t.Fatalf("%s was cut entry under %d, off its path", m, e.Under)
+			}
+		}
+		sizes[len(entries)]++
 	}
-	for i := range receivers {
-		if c.Part(i) < 0 {
-			t.Fatalf("%s has no part", receivers[i])
-		}
+	if len(sizes) != 3 || sizes[1] == 0 || sizes[2] == 0 || sizes[3] == 0 {
+		t.Errorf("part sizes %v, want residents cut 1, 2 and 3 entries", sizes)
 	}
 	tr.Cut(res.Update, []MemberID{"stranger"}, &c)
-	if c.Parts() != 0 || c.Part(0) != -1 {
-		t.Fatalf("a receiver outside the tree got part %d of %d", c.Part(0), c.Parts())
+	if _, ok := c.Leaf(0); ok {
+		t.Fatal("a receiver outside the tree was cut a part")
+	}
+}
+
+// TestCutLoneRootMemberFreshness: a lone member sits at the root, so a
+// freshness rekey rekeys its leaf in place; the cut names the key it
+// still holds, the root's previous one, and its part opens under it.
+func TestCutLoneRootMemberFreshness(t *testing.T) {
+	tr := New(Config{})
+	res, err := tr.Join("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewMemberView(res.Joined["solo"], res.Epoch, NewSuiteEncryptor(nil))
+	fresh := tr.RefreshAreaKey()
+	var c Cut
+	tr.Cut(fresh.Update, []MemberID{"solo"}, &c)
+	if leaf, ok := c.Leaf(0); !ok || leaf != v.LeafKey() || leaf == tr.AreaKey() {
+		t.Fatalf("cut names leaf %x (member %v); the member holds %x, the new root is %x", leaf, ok, v.LeafKey(), tr.AreaKey())
+	}
+	if _, err := v.ApplyWire(fresh.Epoch, codec.NewReader(c.AppendEntries(nil, 0))); err != nil || v.AreaKey() != tr.AreaKey() {
+		t.Fatalf("applying its part: %v (area key match %v)", err, v.AreaKey() == tr.AreaKey())
 	}
 }

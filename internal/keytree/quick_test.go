@@ -130,15 +130,13 @@ func TestQuickRandomOpSequences(t *testing.T) {
 // over random join, leave, mixed and freshness rekeys, cut for every
 // surviving member that was not moved,
 //
-//   - each receiver's path holds exactly one scope of all the parts —
-//     the scopes are an antichain covering every receiver — and it is a
-//     scope of the receiver's own part;
-//   - that part is exactly the update's entries whose Under is on the
-//     receiver's path, in the update's order, and no two parts share a
-//     list;
+//   - each receiver's part is exactly the update's entries whose Under is
+//     on the receiver's path, in the update's order — for a freshness
+//     rekey, the one entry under the root;
+//   - the leaf key the cut names for it is the one its view holds before
+//     the update;
 //   - applying the part alone leaves the same keys and epoch as applying
-//     the whole update;
-//   - a freshness rekey is one part, scoped to the root.
+//     the whole update.
 func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 	f := func(script opScript) bool {
 		rng := rand.New(rand.NewSource(script.seed))
@@ -187,30 +185,6 @@ func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 				}
 			}
 			tree.Cut(u, receivers, &cut)
-			type leaf struct {
-				scopes []NodeID
-				list   []byte // the leaf's entry list, as AppendEntries encodes it
-			}
-			leaves := make([]leaf, cut.Parts())
-			for p := range leaves {
-				r := codec.NewReader(cut.AppendLeaf(nil, p))
-				scopes, err := ReadScopes(r)
-				if err != nil {
-					t.Logf("step %d: part %d's scopes do not decode: %v", step, p, err)
-					return false
-				}
-				leaves[p] = leaf{scopes, r.BorrowRaw(r.Len())}
-				for q := 0; q < p; q++ {
-					if bytes.Equal(leaves[q].list, leaves[p].list) {
-						t.Logf("step %d: parts %d and %d carry the same entries", step, q, p)
-						return false
-					}
-				}
-			}
-			if freshness && (len(leaves) != 1 || len(leaves[0].scopes) != 1 || leaves[0].scopes[0] != tree.root.id) {
-				t.Logf("step %d: a freshness rekey cut into %d parts", step, len(leaves))
-				return false
-			}
 
 			for i, m := range receivers {
 				v := views[m]
@@ -219,47 +193,39 @@ func TestQuickPartAloneEqualsWholeUpdate(t *testing.T) {
 					t.Logf("step %d: %v", step, err)
 					return false
 				}
-				mine := cut.Part(i)
-				onPath := 0
-				for p := range leaves {
-					for _, s := range leaves[p].scopes {
-						if slices.Contains(path, s) {
-							onPath++
-							if p != mine {
-								t.Logf("step %d: %s's path holds scope %d of part %d, not of its own part %d", step, m, s, p, mine)
-								return false
-							}
-						}
-					}
-				}
-				if onPath != 1 {
-					t.Logf("step %d: %s's path holds %d scopes", step, m, onPath)
-					return false
-				}
 				var own []Entry
 				for _, e := range u.Entries {
 					if slices.Contains(path, e.Under) {
 						own = append(own, e)
 					}
 				}
-				if !bytes.Equal(leaves[mine].list, AppendEntries(nil, own)) {
-					t.Logf("step %d: %s's part is not exactly the entries on its path", step, m)
+				part := cut.AppendEntries(nil, i)
+				if !bytes.Equal(part, AppendEntries(nil, own)) || cut.EntriesLen(i) != len(part) {
+					t.Logf("step %d: %s's part is not exactly the entries on its path, or not %d B long", step, m, cut.EntriesLen(i))
+					return false
+				}
+				if freshness && len(own) != 1 {
+					t.Logf("step %d: %s's part of a freshness rekey holds %d entries", step, m, len(own))
+					return false
+				}
+				if leaf, ok := cut.Leaf(i); !ok || leaf != v.part.LeafKey() {
+					t.Logf("step %d: the cut names a leaf key %s does not hold (member %v)", step, m, ok)
 					return false
 				}
 				if _, err := v.whole.Apply(u); err != nil {
 					t.Logf("step %d: %s applying the whole update: %v", step, m, err)
 					return false
 				}
-				if _, err := v.part.ApplyWire(u.Epoch, codec.NewReader(leaves[mine].list)); err != nil {
-					t.Logf("step %d: %s applying part %d: %v", step, m, mine, err)
+				if _, err := v.part.ApplyWire(u.Epoch, codec.NewReader(part)); err != nil {
+					t.Logf("step %d: %s applying its part: %v", step, m, err)
 					return false
 				}
 				if v.part.Epoch() != v.whole.Epoch() || !reflect.DeepEqual(v.part.PathKeys(), v.whole.PathKeys()) {
-					t.Logf("step %d: %s holds different keys after part %d than after the whole update", step, m, mine)
+					t.Logf("step %d: %s holds different keys after its part than after the whole update", step, m)
 					return false
 				}
 				if !v.part.AreaKey().Equal(tree.AreaKey()) {
-					t.Logf("step %d: %s lost the area key on part %d", step, m, mine)
+					t.Logf("step %d: %s lost the area key on its part", step, m)
 					return false
 				}
 			}

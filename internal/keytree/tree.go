@@ -113,6 +113,8 @@ type Tree struct {
 	occupied *nodeHeap // occupied leaves, split candidates, shallowest first
 	maxDepth int
 	numNodes int
+	// rootWas is the root's key before the last operation (Cut).
+	rootWas crypt.SymKey
 	// chunks is the node arena. Nodes are never freed individually
 	// (pruned nodes stay detached in place — the prune path is an
 	// ablation flag, and stale heap entries may still reference them),
@@ -438,6 +440,7 @@ func (t *Tree) BatchLeave(ms []MemberID) (*BatchResult, error) {
 // carries one entry: the new area key encrypted under the previous one.
 func (t *Tree) RefreshAreaKey() *BatchResult {
 	oldKey := t.root.key
+	t.rootWas = oldKey
 	t.root.key = t.cfg.KeyGen()
 	t.epoch++
 	update := &KeyUpdate{Epoch: t.epoch}
@@ -466,6 +469,7 @@ func (t *Tree) Batch(joins, leaves []MemberID) (*BatchResult, error) {
 	if err := t.validateBatch(joins, leaves); err != nil {
 		return nil, err
 	}
+	t.rootWas = t.root.key
 
 	// fresh tracks nodes created or freshly keyed during this operation:
 	// no prior member holds their old key, so they never appear as a

@@ -165,9 +165,14 @@ func (v *MemberView) index(id NodeID) int {
 	return -1
 }
 
-// OnPath reports whether node id lies on the member's root path — whether
-// a KeyUpdate part with scope id is the one cut for this member (Cut).
-func (v *MemberView) OnPath(id NodeID) bool { return v.index(id) >= 0 }
+// LeafKey returns the key of the member's leaf: the one key on its path
+// that only the member and its controller hold (Cut.Leaf).
+func (v *MemberView) LeafKey() crypt.SymKey {
+	if len(v.keys) == 0 {
+		return crypt.SymKey{}
+	}
+	return v.keys[0]
+}
 
 // checkEpoch reports whether an update for epoch is the next one in
 // sequence.

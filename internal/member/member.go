@@ -146,6 +146,9 @@ type Member struct {
 	backupAddr string
 	backupPub  crypt.PublicKey
 	view       *keytree.MemberView
+	// kuKey is the MAC key the controller tags our KeyUpdates under,
+	// derived from view's leaf key.
+	kuKey wire.KeyUpdateKey
 	// suite is the area's negotiated cipher suite from the last welcome;
 	// it seals outgoing payloads and data keys and opens incoming data
 	// keys. An incoming payload is opened by the suite its packet names.
@@ -278,7 +281,7 @@ func (m *Member) Leave() error {
 		if !m.connected {
 			return
 		}
-		m.sendPlain(m.acAddr, wire.KindLeaveNotice, wire.LeaveNotice{MemberID: m.cfg.ID})
+		m.sendPlain(m.acAddr, wire.KindLeaveNotice, wire.NewLeaveNotice(m.cfg.ID, m.view.LeafKey()))
 		m.detach()
 		// A voluntary departure is not a §IV-B disconnection: hold
 		// auto-rejoin back for a full silence window so an explicit

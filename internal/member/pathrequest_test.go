@@ -1,6 +1,7 @@
 package member
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -96,12 +97,12 @@ func TestOnePathRequestPerMissedRekey(t *testing.T) {
 	}
 }
 
-// TestMisdeliveredKeyUpdatePartChangesNothing: a member handed a part of
-// a genuine rekey that was not cut for it — any other member's — or its
-// own with a changed entry or a changed audit path, or a signed header
-// over no parts, counts the drop under its reason, keeps keys and epoch,
-// and asks the controller for nothing (the frame reveals no missed
-// epoch). Its own part, arriving after all that, applies.
+// TestMisdeliveredKeyUpdatePartChangesNothing: a member handed a frame
+// of a genuine rekey that was not cut and tagged for it — any other
+// member's — or its own with a changed entry, or its own entries under a
+// zero tag, counts the drop as bad_mac, keeps keys and epoch, and asks
+// the controller for nothing (the frame reveals no missed epoch). Its
+// own frame, arriving after all that, applies.
 func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	defer n.Close()
@@ -156,16 +157,10 @@ func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 	}
 	var kc keytree.Cut
 	tree.Cut(res.Update, receivers, &kc)
-	var cut wire.KeyUpdateCut
-	cut.Encode("area-x", res.Epoch, &kc)
-	mine := kc.Part(0)
-	if kc.Parts() < 2*keytree.DefaultArity {
-		t.Fatalf("fixture cut %d parts", kc.Parts())
-	}
-	sig := keys.Sign(cut.Header())
-	send := func(body, sig []byte) {
+	frames := wire.KeyUpdateFrames("ac", "area-x", res.Epoch, &kc)
+	send := func(body []byte) {
 		t.Helper()
-		if err := ac.Send("m05", &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac", Body: body, Sig: sig}); err != nil {
+		if err := ac.Send("m05", &wire.Frame{Kind: wire.KindKeyUpdate, From: "ac", Body: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,28 +174,23 @@ func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < kc.Parts(); i++ {
-		if i != mine {
-			send(cut.Body(i), sig) // the parts cut for everyone else
-		}
+	for i := 1; i < len(frames); i++ {
+		send(frames[i].Body) // the frames cut for everyone else
 	}
-	waitDrops("wrong_part", int64(kc.Parts()-1))
-	tampered := cut.Body(mine)
-	tampered[len(tampered)-1] ^= 1
-	send(tampered, sig)
-	waitDrops("bad_digest", 1)
+	waitDrops("bad_mac", int64(len(frames)-1))
+	own := frames[0].Body
+	tampered := bytes.Clone(own)
+	tampered[len(tampered)-crypt.MACTagLen-1] ^= 1
+	send(tampered)
+	waitDrops("bad_mac", int64(len(frames)))
 	var ku wire.KeyUpdate
-	if err := wire.DecodePlain(cut.Body(mine), &ku); err != nil {
+	if err := wire.DecodePlain(own, &ku); err != nil {
 		t.Fatal(err)
 	}
-	ku.Proof[0][0] ^= 1
-	badProof, _ := wire.PlainBody(ku)
-	send(badProof, sig)
-	waitDrops("bad_digest", 2)
-	empty := wire.KeyUpdate{AreaID: "area-x", Epoch: res.Epoch}
-	emptyBody, _ := wire.PlainBody(empty)
-	send(emptyBody, keys.Sign(empty.AppendHeader(nil)))
-	waitDrops("bad_digest", 3)
+	ku.Tag = [crypt.MACTagLen]byte{}
+	untagged, _ := wire.PlainBody(ku)
+	send(untagged)
+	waitDrops("bad_mac", int64(len(frames)+1))
 
 	var got keytree.PathKeys
 	_ = m.call(func() { got = m.view.PathKeys() })
@@ -211,7 +201,7 @@ func TestMisdeliveredKeyUpdatePartChangesNothing(t *testing.T) {
 		t.Fatalf("misdelivered parts made the member send %d PathRequests", n)
 	}
 
-	send(cut.Body(mine), sig)
+	send(own)
 	for deadline := time.Now().Add(10 * time.Second); m.Epoch() != res.Epoch; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the member's own part never applied")

@@ -1,6 +1,7 @@
 package member
 
 import (
+	"bytes"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -270,13 +271,7 @@ func TestClientRejectsUnsignedGrant(t *testing.T) {
 	}
 }
 
-// oneLeaf is a rekey of one part, already encoded as its leaf.
-type oneLeaf []byte
-
-func (l oneLeaf) Parts() int                        { return 1 }
-func (l oneLeaf) AppendLeaf(b []byte, _ int) []byte { return append(b, l...) }
-
-func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
+func TestClientAppliesTaggedKeyUpdateOnly(t *testing.T) {
 	r := newProtoRig(t)
 	path := r.join()
 
@@ -287,13 +282,13 @@ func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
 		Node: 1, Under: 1,
 		Ciphertext: enc.EncryptKeyTo(nil, path[0].Key, newKey),
 	}
-	var cut wire.KeyUpdateCut
-	cut.Encode("area-x", 2, oneLeaf(keytree.AppendLeaf(nil, []keytree.NodeID{1}, []keytree.Entry{entry})))
-	body := cut.Body(0)
+	body, _ := wire.PlainBody(wire.KeyUpdate{AreaID: "area-x", Epoch: 2, Entries: []keytree.Entry{entry}})
 
-	// Forged signature: dropped, and counted under its reason.
-	r.ac.send("mem", wire.KindKeyUpdate, body, r.rsKeys.Sign(cut.Header()))
-	dropped := obs.MetricKeyUpdateDropped("bad_signature")
+	// Tagged under a key other than the member's leaf key: dropped, and
+	// counted under its reason.
+	wire.TagKeyUpdate(body, crypt.NewSymKey())
+	r.ac.send("mem", wire.KindKeyUpdate, body, nil)
+	dropped := obs.MetricKeyUpdateDropped("bad_mac")
 	for deadline := time.Now().Add(5 * time.Second); r.m.Stats().Snapshot()[dropped] != 1; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the forged key update was never counted in %s", dropped)
@@ -303,12 +298,14 @@ func TestClientAppliesSignedKeyUpdateOnly(t *testing.T) {
 		t.Fatal("member applied a forged key update")
 	}
 
-	// Genuine signature: applied.
-	r.ac.send("mem", wire.KindKeyUpdate, body, r.acKeys.Sign(cut.Header()))
+	// Tagged under its leaf key: applied.
+	body = bytes.Clone(body)
+	wire.TagKeyUpdate(body, path[0].Key)
+	r.ac.send("mem", wire.KindKeyUpdate, body, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for r.m.Epoch() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("member never applied the signed key update")
+			t.Fatal("member never applied the tagged key update")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -149,16 +149,16 @@ func (m *Member) originName(b []byte) string {
 	return s
 }
 
-// handleKeyUpdate applies a signed rekey multicast (§III).
+// handleKeyUpdate applies a rekey (§III).
 func (m *Member) handleKeyUpdate(f *wire.Frame) {
 	if !m.connected || f.From != m.acAddr {
 		return
 	}
-	// §III-E: key update messages are signed by the area controller.
-	// The entries stream out of f.Body, which aliases the shared
-	// delivery buffer: the on-path ones unwrap into fresh keys and
+	// The controller tags our part under our leaf key (§III-E signs
+	// instead; DESIGN §8). The entries stream out of f.Body, which
+	// aliases the delivery buffer: they unwrap into fresh keys and
 	// nothing of the frame outlives this handler.
-	epoch, err := wire.ReceiveKeyUpdate(f, m.acPub, m.areaID, m.view)
+	epoch, err := wire.ReceiveKeyUpdate(f, &m.kuKey, m.areaID, m.view)
 	switch {
 	case err == nil:
 		m.rekeys++

@@ -25,10 +25,11 @@ func attachDirect(m *Member, acPub crypt.PublicKey, path []keytree.PathKey, epoc
 
 // TestMembersShareDeliveredBufferReadOnly runs 32 real members, each on
 // its own loop goroutine, against one delivery buffer per multicast: a
-// signed rekey, then one data packet per registered suite and two
-// with cipher tags no suite owns, are each sent as a single *wire.Frame
-// to every member, so every handler verifies, decodes and applies out of
-// the same backing array at the same time. The members must all follow
+// rekey whose per-member frames are windows onto one buffer, then one
+// data packet per registered suite and two with cipher tags no suite
+// owns, each sent as a single *wire.Frame to every member, so every
+// handler verifies, decodes and applies out of the same backing array at
+// the same time. The members must all follow
 // the rekey, decrypt the suites' packets, drop and count the other two,
 // and a SHA-256 of each shared encoding must be unchanged afterwards —
 // although every OnData overwrites the payload it was lent once it has
@@ -99,9 +100,9 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 
 	// multicast sends one frame to every member and returns its shared
 	// encoding with the digest it had when it was handed to the network.
-	multicast := func(kind wire.Kind, body, sig []byte) ([]byte, [sha256.Size]byte) {
+	multicast := func(kind wire.Kind, body []byte) ([]byte, [sha256.Size]byte) {
 		t.Helper()
-		f := &wire.Frame{Kind: kind, From: "ac", Body: body, Sig: sig}
+		f := &wire.Frame{Kind: kind, From: "ac", Body: body}
 		shared, _ := f.Encode()
 		sum := sha256.Sum256(shared)
 		for _, id := range ids {
@@ -120,18 +121,25 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 		}
 	}
 
-	// A freshness rekey every resident must follow: nothing below the
-	// root changed, so the cut is one part and all of them read the one
-	// buffer.
+	type sharedBuf struct {
+		buf []byte
+		sum [sha256.Size]byte
+	}
+	// A freshness rekey every resident must follow: each is sent its own
+	// frame, and the frames are windows onto the one buffer the flush
+	// encoded them into, which all the members read at once.
 	res := tree.RefreshAreaKey()
 	var kc keytree.Cut
 	tree.Cut(res.Update, ids, &kc)
-	var cut wire.KeyUpdateCut
-	cut.Encode("area-x", res.Epoch, &kc)
-	if kc.Parts() != 1 {
-		t.Fatalf("a freshness rekey was cut into %d parts", kc.Parts())
+	frames := wire.KeyUpdateFrames("ac", "area-x", res.Epoch, &kc)
+	rekeys := make(map[string]sharedBuf, len(frames))
+	for i := range frames {
+		enc, _ := frames[i].Encode()
+		rekeys[fmt.Sprintf("KeyUpdate/%s", ids[i])] = sharedBuf{enc, sha256.Sum256(enc)}
+		if err := ac.Send(string(ids[i]), &frames[i]); err != nil {
+			t.Fatalf("send KeyUpdate to %s: %v", ids[i], err)
+		}
 	}
-	rekey, rekeySum := multicast(wire.KindKeyUpdate, cut.Body(0), acKeys.Sign(cut.Header()))
 	waitFor("every member to apply the rekey", func() bool {
 		for _, m := range members {
 			if m.Epoch() != res.Epoch {
@@ -154,11 +162,7 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 	// pass-through would deliver.
 	dataKey := crypt.NewSymKey()
 	encKey := suite.Seal(tree.AreaKey(), dataKey[:])
-	type sharedBuf struct {
-		buf []byte
-		sum [sha256.Size]byte
-	}
-	shared := map[string]sharedBuf{"KeyUpdate": {rekey, rekeySum}}
+	shared := rekeys
 	seq := uint64(0)
 	data := func(name string, tag wire.DataCipher, payload []byte) {
 		seq++
@@ -166,7 +170,7 @@ func TestMembersShareDeliveredBufferReadOnly(t *testing.T) {
 			Origin: "peer", OriginArea: "area-x", Seq: seq, FromArea: "area-x",
 			Cipher: tag, EncKey: encKey, Payload: payload,
 		})
-		buf, sum := multicast(wire.KindData, body, nil)
+		buf, sum := multicast(wire.KindData, body)
 		shared["Data/"+name] = sharedBuf{buf, sum}
 	}
 	for _, s := range crypt.Suites() {

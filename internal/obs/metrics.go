@@ -538,7 +538,7 @@ func MetricKeyUpdateDropped(reason string) string {
 // absent series reads as zero.
 func KeyUpdateDropped(r *Registry, reason string) {
 	r.Counter(MetricKeyUpdateDropped(reason),
-		"KeyUpdate frames refused before any key changed, by reason: signature, body, area, part not cut for this receiver, part's proof against the signed root.").Inc()
+		"KeyUpdate frames refused before any key changed, by reason: tag not the receiver's (bad_mac), body (bad_body), area (wrong_area).").Inc()
 }
 
 // MetricPathUpdateStale counts genuine PathUpdates a receiver refused

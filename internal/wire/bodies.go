@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -458,247 +456,160 @@ func (d *DataRef) read(r *codec.Reader) error {
 	return r.Err()
 }
 
-// AppendHeader appends the update's header — area, epoch, part count and
-// Merkle root. These are the bytes the controller signs, and every part
-// of one rekey carries them verbatim.
-func (m KeyUpdate) AppendHeader(b []byte) []byte {
+// AppendWire implements Marshaler: area, epoch, entries, then the tag
+// over them.
+func (m KeyUpdate) AppendWire(b []byte) []byte {
 	b = codec.AppendString(b, m.AreaID)
 	b = codec.AppendUvarint(b, m.Epoch)
-	b = codec.AppendUvarint(b, uint64(m.Parts))
-	return codec.AppendRaw(b, m.Root[:])
+	b = keytree.AppendEntries(b, m.Entries)
+	return codec.AppendRaw(b, m.Tag[:])
 }
 
-// AppendWire implements Marshaler: the header as one length-prefixed
-// field (so a receiver can check its signature before decoding any of
-// it), the leaf's index, its audit path, and the leaf.
-func (m KeyUpdate) AppendWire(b []byte) []byte {
-	b = codec.AppendBytes(b, m.AppendHeader(nil))
-	b = codec.AppendUvarint(b, uint64(m.Index))
-	b = codec.AppendUvarint(b, uint64(len(m.Proof)))
-	for i := range m.Proof {
-		b = codec.AppendRaw(b, m.Proof[i][:])
-	}
-	return keytree.AppendLeaf(b, m.Scopes, m.Entries)
-}
-
-// ReadWire implements Unmarshaler. It decodes structure only — an index
-// beyond the count, a proof that does not lead to the root, a scope set
-// off the receiver's path are ReceiveKeyUpdate's to reject. The entries'
-// ciphertexts borrow the input (see keytree.ReadEntries).
+// ReadWire implements Unmarshaler. It decodes structure only; the tag is
+// ReceiveKeyUpdate's to check. The entries' ciphertexts borrow the input
+// (see keytree.ReadEntries).
 func (m *KeyUpdate) ReadWire(r *codec.Reader) error {
-	header := r.BorrowBytes()
-	if err := r.Err(); err != nil {
+	m.AreaID = r.String()
+	m.Epoch = r.Uvarint()
+	var err error
+	if m.Entries, err = keytree.ReadEntries(r); err != nil {
 		return err
 	}
-	hr := codec.NewReader(header)
-	m.AreaID = hr.String()
-	m.Epoch = hr.Uvarint()
-	parts := hr.Uvarint()
-	copy(m.Root[:], hr.BorrowRaw(sha256.Size))
-	if err := hr.Finish(); err != nil {
-		return fmt.Errorf("header: %w", err)
+	copy(m.Tag[:], r.BorrowRaw(len(m.Tag)))
+	return r.Err()
+}
+
+// The labels that derive a member's MAC keys from its leaf key, one per
+// message the leaf key authenticates.
+var (
+	keyUpdateLabel = []byte("keyupdate")
+	leaveLabel     = []byte("leave")
+)
+
+// KeyUpdateKey is a receiver's KeyUpdate MAC key, derived from its leaf
+// key and kept precomputed across the rekeys that leave the leaf alone.
+// It is one pointer until the first KeyUpdate, so a holder of which a
+// deployment keeps thousands (a member) grows by a word, not by its
+// size class. The zero value is ready to use.
+type KeyUpdateKey struct{ c *keyUpdateMAC }
+
+type keyUpdateMAC struct {
+	leaf crypt.SymKey
+	mac  crypt.MACKey
+}
+
+// of returns the MAC key for leaf, deriving it only when leaf changed.
+func (k *KeyUpdateKey) of(leaf crypt.SymKey) *crypt.MACKey {
+	if k.c == nil {
+		k.c = &keyUpdateMAC{leaf: leaf, mac: crypt.DeriveMACKey(leaf, keyUpdateLabel)}
+	} else if k.c.leaf != leaf {
+		k.c.leaf, k.c.mac = leaf, crypt.DeriveMACKey(leaf, keyUpdateLabel)
 	}
-	index := r.Uvarint()
-	if parts > math.MaxInt32 || index > math.MaxInt32 {
-		return fmt.Errorf("%w: part %d of %d", codec.ErrValue, index, parts)
-	}
-	m.Parts, m.Index = int(parts), int(index)
-	m.Proof = nil
-	if n := r.Count(sha256.Size); n > 0 {
-		m.Proof = make([][sha256.Size]byte, n)
-		for i := range m.Proof {
-			copy(m.Proof[i][:], r.BorrowRaw(sha256.Size))
+	return &k.c.mac
+}
+
+// TagKeyUpdate overwrites the tag at the end of a KeyUpdate body with
+// the one that authenticates it to the member whose leaf key is leaf.
+func TagKeyUpdate(body []byte, leaf crypt.SymKey) {
+	n := len(body) - crypt.MACTagLen
+	mk := crypt.DeriveMACKey(leaf, keyUpdateLabel)
+	mk.Tag(body[n:n], body[:n])
+}
+
+// KeyUpdateReceivers is a rekey cut per receiver (keytree.Cut).
+type KeyUpdateReceivers interface {
+	Len() int
+	// Leaf returns the leaf key receiver i holds; false sends it nothing.
+	Leaf(i int) (crypt.SymKey, bool)
+	// EntriesLen returns the length of AppendEntries' output for member
+	// receiver i.
+	EntriesLen(i int) int
+	// AppendEntries appends member receiver i's entries as a
+	// keytree.AppendEntries list.
+	AppendEntries(b []byte, i int) []byte
+}
+
+// KeyUpdateFrames is the send side of a KindKeyUpdate: it returns
+// receiver i's frame at index i — its own entries, tagged under its leaf
+// key, sent from `from` and carrying no signature; a zero Frame for a
+// receiver recv.Leaf refuses. The frames are encoded back to back in one
+// buffer that they share as their cached encoding
+// (frameEncoding.runEncoding): each frame's Body is a window onto it,
+// and Encode answers with the frame's own bytes without building any.
+func KeyUpdateFrames(from, areaID string, epoch uint64, recv KeyUpdateReceivers) []Frame {
+	n := recv.Len()
+	head := 1 + codec.UvarintLen(uint64(len(from))) + len(from)
+	prefix := codec.UvarintLen(uint64(len(areaID))) + len(areaID) + codec.UvarintLen(epoch)
+	const tail = 1 // the empty signature's length
+	size := 0
+	for i := 0; i < n; i++ {
+		if _, ok := recv.Leaf(i); ok {
+			body := prefix + recv.EntriesLen(i) + crypt.MACTagLen
+			size += head + codec.UvarintLen(uint64(body)) + body + tail
 		}
 	}
-	var err error
-	if m.Scopes, err = keytree.ReadScopes(r); err != nil {
-		return err
-	}
-	m.Entries, err = keytree.ReadEntries(r)
-	return err
-}
-
-// KeyUpdateLeaves is a rekey cut into parts, each encoded as its leaf —
-// scope set, then entries (keytree.Cut).
-type KeyUpdateLeaves interface {
-	Parts() int
-	AppendLeaf(b []byte, part int) []byte
-}
-
-// KeyUpdateCut is the send side of a KindKeyUpdate: one cut rekey encoded
-// as the header to sign and one frame per part. The zero value is ready
-// to use, and Encode reuses its buffers, so a controller keeps one.
-type KeyUpdateCut struct {
-	header []byte
-	leaves []byte   // every part's leaf, back to back
-	ends   []int    // leaf i ends at leaves[ends[i]]
-	tree   []digest // the leaves' hashes, then every level above them
-}
-
-// Encode lays out the parts' leaves and the Merkle tree over them, and
-// builds the header that carries its root.
-func (c *KeyUpdateCut) Encode(areaID string, epoch uint64, parts KeyUpdateLeaves) {
-	n := parts.Parts()
-	c.leaves, c.ends, c.tree = c.leaves[:0], c.ends[:0], c.tree[:0]
-	for i := 0; i < n; i++ {
-		c.leaves = parts.AppendLeaf(c.leaves, i)
-		c.ends = append(c.ends, len(c.leaves))
-		c.tree = append(c.tree, hashLeaf(c.leaf(i)))
-	}
-	c.tree = appendLevels(c.tree, n)
-	root := sha256.Sum256(nil) // RFC 6962's hash of no leaves
-	if n > 0 {
-		root = c.tree[len(c.tree)-1]
-	}
-	c.header = KeyUpdate{AreaID: areaID, Epoch: epoch, Parts: n, Root: root}.AppendHeader(c.header[:0])
-}
-
-func (c *KeyUpdateCut) leaf(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = c.ends[i-1]
-	}
-	return c.leaves[start:c.ends[i]]
-}
-
-// Header returns the bytes the controller signs, once, for every part.
-// Valid until the next Encode.
-func (c *KeyUpdateCut) Header() []byte { return c.header }
-
-// bodyLen returns the length of part i's frame body.
-func (c *KeyUpdateCut) bodyLen(i int) int {
-	proof := proofLen(uint64(i), uint64(len(c.ends)))
-	return codec.UvarintLen(uint64(len(c.header))) + len(c.header) + codec.UvarintLen(uint64(i)) +
-		codec.UvarintLen(uint64(proof)) + proof*sha256.Size + len(c.leaf(i))
-}
-
-// appendBody appends part i's frame body, as KeyUpdate.AppendWire lays it
-// out.
-func (c *KeyUpdateCut) appendBody(b []byte, i int) []byte {
-	b = codec.AppendBytes(b, c.header)
-	b = codec.AppendUvarint(b, uint64(i))
-	b = codec.AppendUvarint(b, uint64(proofLen(uint64(i), uint64(len(c.ends)))))
-	b = appendProof(b, c.tree, len(c.ends), i)
-	return codec.AppendRaw(b, c.leaf(i))
-}
-
-// Body returns a fresh frame body carrying part i.
-func (c *KeyUpdateCut) Body(i int) []byte {
-	return c.appendBody(make([]byte, 0, c.bodyLen(i)), i)
-}
-
-// Frames returns one frame per part, sent from `from` and signed by sig
-// (over Header). The frames are encoded back to back in one buffer that
-// they share as their cached encoding (frameEncoding.runEncoding): each
-// frame's Body is a window onto it, and Encode answers with the frame's
-// own bytes without building any. Every frame's Sig is sig itself, so a
-// flush's frames visibly share one signature.
-func (c *KeyUpdateCut) Frames(from string, sig []byte) []Frame {
-	frames := make([]Frame, len(c.ends))
-	head := 1 + codec.UvarintLen(uint64(len(from))) + len(from)
-	tail := codec.UvarintLen(uint64(len(sig))) + len(sig)
-	size := 0
-	for i := range frames {
-		n := c.bodyLen(i)
-		size += head + codec.UvarintLen(uint64(n)) + n + tail
-	}
+	frames := make([]Frame, n)
 	buf := make([]byte, 0, size)
 	for i := range frames {
-		n := c.bodyLen(i)
+		leaf, ok := recv.Leaf(i)
+		if !ok {
+			continue
+		}
 		buf = codec.AppendByte(buf, byte(KindKeyUpdate))
 		buf = codec.AppendString(buf, from)
-		buf = codec.AppendUvarint(buf, uint64(n))
-		buf = c.appendBody(buf, i)
-		f := &frames[i]
-		f.Kind, f.From, f.Body, f.Sig = KindKeyUpdate, from, buf[len(buf)-n:], sig
-		buf = codec.AppendBytes(buf, sig)
+		buf = codec.AppendUvarint(buf, uint64(prefix+recv.EntriesLen(i)+crypt.MACTagLen))
+		start := len(buf)
+		buf = codec.AppendString(buf, areaID)
+		buf = codec.AppendUvarint(buf, epoch)
+		buf = recv.AppendEntries(buf, i)
+		mk := crypt.DeriveMACKey(leaf, keyUpdateLabel)
+		buf = mk.Tag(buf, buf[start:])
+		frames[i].Kind, frames[i].From, frames[i].Body = KindKeyUpdate, from, buf[start:]
+		buf = codec.AppendUvarint(buf, 0)
 	}
-	run := &frameEncoding{kind: KindKeyUpdate, from: from, body: buf, sig: sig, bytes: buf}
+	run := &frameEncoding{kind: KindKeyUpdate, from: from, body: buf, bytes: buf}
 	for i := range frames {
-		frames[i].enc.Store(run)
+		if frames[i].Kind != 0 {
+			frames[i].enc.Store(run)
+		}
 	}
 	return frames
 }
 
 // ReceiveKeyUpdate is the receive side of a KindKeyUpdate frame, shared
 // by its two receivers (a member, and a controller as a member of its
-// parent's area). In order: the frame's header must be signed by signer
-// (§III-E) — checked before a byte of it is decoded; it must name areaID,
-// and the frame's leaf, folded up its audit path, must reach the root the
-// header signs; some scope of the leaf must lie on view's path, which
-// makes it the part cut for this receiver. Its entries are then streamed
-// out of the frame into view (keytree.MemberView.ApplyWire), so no
-// KeyUpdate value is built and f.Body is only read.
+// parent's area). In order: the body's tag must authenticate it under
+// key, the MAC key derived from view's leaf key — checked in constant
+// time before a byte of the body is decoded, so only the frame the
+// controller cut for this receiver passes; it must name areaID. Its
+// entries are then streamed out of the frame into view
+// (keytree.MemberView.ApplyWire), so no KeyUpdate value is built and
+// f.Body is only read.
 //
 // It returns the update's epoch and nil once view stands at it;
 // keytree.ErrStale for a duplicate delivery, to ignore;
 // keytree.ErrEpochGap when updates were missed and the receiver must
-// recover its path; and crypt.ErrBadSignature, ErrBadBody, ErrWrongArea,
-// ErrBadDigest or ErrWrongPart for a frame to drop (KeyUpdateDropReason
-// names them for counting). view is unchanged on every error.
-func ReceiveKeyUpdate(f *Frame, signer crypt.PublicKey, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	p, err := splitKeyUpdate(f.Body)
-	if err != nil {
-		return 0, err
+// recover its path; and ErrBadMAC, ErrBadBody or ErrWrongArea for a
+// frame to drop (KeyUpdateDropReason names them for counting). view is
+// unchanged on every error.
+func ReceiveKeyUpdate(f *Frame, key *KeyUpdateKey, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
+	n := len(f.Body) - crypt.MACTagLen
+	if n < 0 {
+		return 0, fmt.Errorf("%w: key update of %d bytes", ErrBadBody, len(f.Body))
 	}
-	if err := signer.Verify(p.header, f.Sig); err != nil {
-		return 0, err
+	if !key.of(view.LeafKey()).Verify(f.Body[:n], f.Body[n:]) {
+		return 0, ErrBadMAC
 	}
-	return applyKeyUpdate(&p, areaID, view)
-}
-
-// keyUpdatePart is a KindKeyUpdate body framed but not decoded.
-type keyUpdatePart struct {
-	header, proof, leaf []byte
-	index               uint64
-}
-
-// splitKeyUpdate frames a body into its signed header, leaf index, audit
-// path and leaf without decoding the header or the leaf.
-func splitKeyUpdate(body []byte) (p keyUpdatePart, err error) {
-	r := codec.NewReader(body)
-	p.header = r.BorrowBytes()
-	p.index = r.Uvarint()
-	hashes := r.Uvarint()
-	if hashes > uint64(r.Len()/sha256.Size) {
-		return p, fmt.Errorf("%w: audit path of %d hashes in %d bytes", ErrBadBody, hashes, r.Len())
-	}
-	p.proof = r.BorrowRaw(int(hashes) * sha256.Size)
-	if err := r.Err(); err != nil {
-		return p, fmt.Errorf("%w: %v", ErrBadBody, err)
-	}
-	p.leaf = r.BorrowRaw(r.Len())
-	return p, nil
-}
-
-// applyKeyUpdate is ReceiveKeyUpdate after the signature check.
-func applyKeyUpdate(p *keyUpdatePart, areaID string, view *keytree.MemberView) (epoch uint64, err error) {
-	r := codec.NewReader(p.header)
+	r := codec.NewReader(f.Body[:n])
 	area := r.BorrowBytes()
 	epoch = r.Uvarint()
-	parts := r.Uvarint()
-	root := r.BorrowRaw(sha256.Size)
-	if err := r.Finish(); err != nil {
-		return 0, fmt.Errorf("%w: header: %v", ErrBadBody, err)
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadBody, err)
 	}
 	if string(area) != areaID {
 		return epoch, ErrWrongArea
 	}
-	if h, ok := foldProof(p.proof, p.leaf, p.index, parts); !ok || !bytes.Equal(h[:], root) {
-		return epoch, fmt.Errorf("%w: key update part %d of %d", ErrBadDigest, p.index, parts)
-	}
-	lr := codec.NewReader(p.leaf)
-	mine := false
-	for n := lr.Count(1); n > 0; n-- {
-		mine = view.OnPath(keytree.NodeID(lr.Varint())) || mine
-	}
-	if err := lr.Err(); err != nil {
-		return epoch, fmt.Errorf("%w: scopes: %v", ErrBadBody, err)
-	}
-	if !mine {
-		return epoch, fmt.Errorf("%w: part %d of %d has no scope on the receiver's path", ErrWrongPart, p.index, parts)
-	}
-	_, err = view.ApplyWire(epoch, lr)
+	_, err = view.ApplyWire(epoch, r)
 	if err != nil && !errors.Is(err, keytree.ErrStale) && !errors.Is(err, keytree.ErrEpochGap) {
 		err = fmt.Errorf("%w: %v", ErrBadBody, err)
 	}
@@ -706,24 +617,19 @@ func applyKeyUpdate(p *keyUpdatePart, areaID string, view *keytree.MemberView) (
 }
 
 // KeyUpdateDropReason names why ReceiveKeyUpdate refused a frame, for the
-// receivers' per-reason drop counters (obs.KeyUpdateDropped):
-// "bad_signature", "bad_body", "wrong_area", "wrong_part" or
-// "bad_digest"; "" for nil and for the two outcomes that are not drops,
-// keytree.ErrStale and keytree.ErrEpochGap.
+// receivers' per-reason drop counters (obs.KeyUpdateDropped): "bad_mac",
+// "bad_body" or "wrong_area"; "" for nil and for the two outcomes that
+// are not drops, keytree.ErrStale and keytree.ErrEpochGap.
 func KeyUpdateDropReason(err error) string {
 	switch {
 	case err == nil, errors.Is(err, keytree.ErrStale), errors.Is(err, keytree.ErrEpochGap):
 		return ""
 	case errors.Is(err, ErrWrongArea):
 		return "wrong_area"
-	case errors.Is(err, ErrWrongPart):
-		return "wrong_part"
-	case errors.Is(err, ErrBadDigest):
-		return "bad_digest"
 	case errors.Is(err, ErrBadBody):
 		return "bad_body"
 	default:
-		return "bad_signature"
+		return "bad_mac"
 	}
 }
 
@@ -769,14 +675,32 @@ func (m *MemberAlive) ReadWire(r *codec.Reader) error {
 	return r.Err()
 }
 
+// NewLeaveNotice returns memberID's leave, tagged under the key derived
+// from its leaf key: only the member and its controller hold that key.
+func NewLeaveNotice(memberID string, leaf crypt.SymKey) LeaveNotice {
+	m := LeaveNotice{MemberID: memberID}
+	mk := crypt.DeriveMACKey(leaf, leaveLabel)
+	mk.Tag(m.Tag[:0], codec.AppendString(nil, memberID))
+	return m
+}
+
+// Verify reports, in constant time, whether the notice is tagged under
+// the key derived from leaf, the leaf key of the member it names.
+func (m *LeaveNotice) Verify(leaf crypt.SymKey) bool {
+	mk := crypt.DeriveMACKey(leaf, leaveLabel)
+	return mk.Verify(codec.AppendString(nil, m.MemberID), m.Tag[:])
+}
+
 // AppendWire implements Marshaler.
 func (m LeaveNotice) AppendWire(b []byte) []byte {
-	return codec.AppendString(b, m.MemberID)
+	b = codec.AppendString(b, m.MemberID)
+	return codec.AppendRaw(b, m.Tag[:])
 }
 
 // ReadWire implements Unmarshaler.
 func (m *LeaveNotice) ReadWire(r *codec.Reader) error {
 	m.MemberID = r.String()
+	copy(m.Tag[:], r.BorrowRaw(len(m.Tag)))
 	return r.Err()
 }
 

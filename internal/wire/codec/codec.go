@@ -166,6 +166,9 @@ func (r *Reader) Bool() bool {
 // AppendUvarint appends for it.
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// VarintLen returns what AppendVarint appends for v.
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
 // Uvarint reads an unsigned LEB128 integer. Non-minimal encodings
 // (trailing zero continuation groups, e.g. 0x80 0x00 for zero) are
 // rejected so every value has exactly one wire form.

@@ -150,7 +150,7 @@ func TestUvarintRejectsOverflow(t *testing.T) {
 }
 
 func TestVarintRoundTripExtremes(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64} {
+	for _, v := range []int64{0, 1, -1, 63, -64, 64, -65, math.MaxInt64, math.MinInt64} {
 		b := AppendVarint(nil, v)
 		r := NewReader(b)
 		if got := r.Varint(); got != v {
@@ -158,6 +158,9 @@ func TestVarintRoundTripExtremes(t *testing.T) {
 		}
 		if err := r.Finish(); err != nil {
 			t.Errorf("Varint(%d) Finish: %v", v, err)
+		}
+		if VarintLen(v) != len(b) {
+			t.Errorf("VarintLen(%d) = %d, AppendVarint wrote %d", v, VarintLen(v), len(b))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mykil/internal/crypt"
 	"mykil/internal/keytree"
 	"mykil/internal/wire/codec"
 )
@@ -20,12 +21,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	// A cut KeyUpdate part: the frame whose body nests a signed header.
+	// A KeyUpdate frame: entries, then a tag, and no signature.
 	ku, err := PlainBody(fuzzKeyUpdate)
 	if err != nil {
 		f.Fatal(err)
 	}
-	part, err := (&Frame{Kind: KindKeyUpdate, From: "ac", Body: ku, Sig: []byte("s")}).Encode()
+	part, err := (&Frame{Kind: KindKeyUpdate, From: "ac", Body: ku}).Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -67,16 +68,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// fuzzKeyUpdate seeds both fuzzers with the cut KeyUpdate layout: part 1
-// of 3 with its two-hash audit path, two scopes, two entries.
-var fuzzKeyUpdate = KeyUpdate{AreaID: "a", Epoch: 3, Parts: 3, Root: [32]byte{3},
-	Index:  1,
-	Proof:  [][32]byte{{1}, {2}},
-	Scopes: []keytree.NodeID{2, 6},
+// fuzzKeyUpdate seeds both fuzzers with the KeyUpdate layout: two
+// entries, then the tag.
+var fuzzKeyUpdate = KeyUpdate{AreaID: "a", Epoch: 3,
 	Entries: []keytree.Entry{
 		{Node: 5, Under: 9, Ciphertext: []byte{0xE1}},
 		{Node: 0, Under: 0, Ciphertext: []byte{0xE2, 0xE3}},
-	}}
+	},
+	Tag: [crypt.MACTagLen]byte{7}}
 
 // FuzzDecodePlain hardens every registered body decoder against hostile
 // payloads: arbitrary bytes must return an error or a value that
@@ -97,13 +96,13 @@ func FuzzDecodePlain(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte("x"))
-	// KeyUpdate-shaped bodies claiming 2^32 proof hashes, 2^32 scopes
-	// and 2^32 entries.
-	front := codec.AppendBytes(nil, KeyUpdate{AreaID: "a", Epoch: 1}.AppendHeader(nil))
+	// KeyUpdate-shaped bodies claiming a 2^32-byte area, 2^32 entries,
+	// and an entry with a 2^32-byte ciphertext.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	f.Add(append(append(bytes.Clone(front), 0), huge...))
-	f.Add(append(append(bytes.Clone(front), 0, 0), huge...))
-	f.Add(append(append(bytes.Clone(front), 0, 0, 0), huge...))
+	front := codec.AppendUvarint(codec.AppendString(nil, "a"), 1)
+	f.Add(bytes.Clone(huge))
+	f.Add(append(bytes.Clone(front), huge...))
+	f.Add(append(append(bytes.Clone(front), 1, 2, 4), huge...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range liveKinds() {
 			body, ok := NewBody(k)

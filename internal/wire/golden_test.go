@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -39,8 +38,8 @@ func goldenKey(seed byte) crypt.SymKey {
 	return k
 }
 
-// goldenDigest returns a deterministic SHA-256-sized value.
-func goldenDigest(seed byte) (d [sha256.Size]byte) {
+// goldenTag returns a deterministic MAC-tag-sized value.
+func goldenTag(seed byte) (d [crypt.MACTagLen]byte) {
 	for i := range d {
 		d[i] = seed + byte(i)
 	}
@@ -88,18 +87,16 @@ func goldenBodies() map[Kind]Marshaler {
 		KindRejoinDenied: RejoinDenied{ClientID: "c1", Reason: "cohort"},
 		KindData: Data{Origin: "m1", OriginArea: "area-0", Seq: 5, FromArea: "area-1",
 			Cipher: CipherAES, EncKey: []byte{9, 9, 9}, Payload: []byte("payload")},
-		KindKeyUpdate: KeyUpdate{AreaID: "area-0", Epoch: 14, Parts: 3, Root: goldenDigest(0x40),
-			Index:  1,
-			Proof:  [][sha256.Size]byte{goldenDigest(0x60), goldenDigest(0x80)},
-			Scopes: []keytree.NodeID{3, 4},
+		KindKeyUpdate: KeyUpdate{AreaID: "area-0", Epoch: 14,
 			Entries: []keytree.Entry{
 				{Node: 7, Under: 9, Ciphertext: []byte{0xE1, 0xE2}},
 				{Node: 3, Under: 3, Ciphertext: []byte{0xE3}},
-			}},
+			},
+			Tag: goldenTag(0x40)},
 		KindPathUpdate:  PathUpdate{AreaID: "area-0", Epoch: 15, Path: goldenPath()},
 		KindACAlive:     ACAlive{AreaID: "area-0", Epoch: 16},
 		KindMemberAlive: MemberAlive{MemberID: "m1"},
-		KindLeaveNotice: LeaveNotice{MemberID: "m1"},
+		KindLeaveNotice: LeaveNotice{MemberID: "m1", Tag: goldenTag(0x60)},
 		KindPathRequest: PathRequest{MemberID: "m1", Epoch: 17},
 		KindAreaJoinReq: AreaJoinReq{ACID: "ac-b", ACAddr: "10.0.0.2:7000",
 			AreaID: "area-1", Timestamp: goldenTime, SuiteMask: 0x7},

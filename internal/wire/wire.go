@@ -76,7 +76,7 @@ const (
 
 	// Data and key management, §III.
 	KindData       // encrypted multicast data
-	KindKeyUpdate  // multicast rekey message (signed by the AC)
+	KindKeyUpdate  // rekey message (tagged per receiver by the AC)
 	KindPathUpdate // unicast fresh path keys (displacement/recovery)
 
 	// Failure detection, §IV-A.
@@ -158,7 +158,7 @@ var (
 	ErrBadBody   = errors.New("wire: body does not decode")
 	ErrBadDigest = errors.New("wire: body integrity digest mismatch")
 	ErrWrongArea = errors.New("wire: key update names another area")
-	ErrWrongPart = errors.New("wire: key update part was not cut for this receiver")
+	ErrBadMAC    = errors.New("wire: tag does not authenticate the body to its receiver")
 )
 
 // Frame is the unit handed to the transport.
@@ -536,26 +536,18 @@ type Data struct {
 	Payload    []byte // Cipher's suite: Seal(K_d, data)
 }
 
-// KeyUpdate is the multicast rekey message. The frame carrying it is
-// signed with the area controller's private key (§III-E: "each key update
-// message is signed using the private key of the area controller").
-//
-// A rekey is cut into parts, one per set of receivers that open the same
-// entries (keytree.Cut): each part's leaf is its scope set and entries.
-// The signed header names the area, the epoch, the part count and the
-// Merkle root over the leaves; a frame carries that header, one leaf and
-// the leaf's audit path (RFC 6962). One signature thus covers every part,
-// and a member is sent only its own path's entries.
+// KeyUpdate is the rekey message. The paper (§III-E) multicasts one
+// update, signed with the area controller's private key; Mykil sends
+// each resident its own part instead (keytree.Cut): the entries on its
+// root path, under a truncated HMAC-SHA256 tag keyed by the resident's
+// leaf key (KeyUpdateFrames), which authenticates the controller to that
+// one receiver. PlainBody of a hand-built value carries a zero Tag, which
+// no receiver accepts.
 type KeyUpdate struct {
-	AreaID string
-	Epoch  uint64
-	Parts  int                 // header: how many leaves the root covers
-	Root   [sha256.Size]byte   // header: RFC 6962 tree hash of the leaves
-	Index  int                 // this frame's leaf
-	Proof  [][sha256.Size]byte // the leaf's audit path, bottom-up
-	// The leaf: the part's scopes, then its entries.
-	Scopes  []keytree.NodeID
+	AreaID  string
+	Epoch   uint64
 	Entries []keytree.Entry
+	Tag     [crypt.MACTagLen]byte
 }
 
 // PathUpdate delivers fresh path keys to a single member, sealed to its
@@ -582,9 +574,11 @@ type MemberAlive struct {
 	MemberID string
 }
 
-// LeaveNotice is a voluntary departure announcement.
+// LeaveNotice is a voluntary departure announcement, tagged under the
+// leaving member's leaf key (NewLeaveNotice).
 type LeaveNotice struct {
 	MemberID string
+	Tag      [crypt.MACTagLen]byte
 }
 
 // PathRequest asks the member's own AC to resend its path keys after the

@@ -351,13 +351,14 @@ func TestAllKindsNamed(t *testing.T) {
 }
 
 func TestSignedFrameFlow(t *testing.T) {
-	// The KeyUpdate path: body signed by the AC, verified by members.
+	// A signed kind (an AC→AC area-join denial): body signed by the
+	// sender, verified by the receiver.
 	kp := keyPair(t)
-	body, err := PlainBody(KeyUpdate{AreaID: "a1", Epoch: 4})
+	body, err := PlainBody(AreaJoinDenied{ACID: "ac-1", Reason: "full"})
 	if err != nil {
 		t.Fatalf("PlainBody: %v", err)
 	}
-	f := &Frame{Kind: KindKeyUpdate, From: "ac-1", Body: body, Sig: kp.Sign(body)}
+	f := &Frame{Kind: KindAreaJoinDenied, From: "ac-1", Body: body, Sig: kp.Sign(body)}
 	enc, err := f.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
